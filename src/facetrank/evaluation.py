@@ -10,8 +10,8 @@ from __future__ import annotations
 import math
 
 from .pool import CandidatePool
-from .silver import aspect_weights
-from .text_metrics import phi, rouge, tokenize, unigram_f1
+from .silver import weights_from_rows
+from .text_metrics import phi, phi_matrix, rouge, tokenize, unigram_f1
 
 
 def evaluate_response(response: str, answer: str, sub_answers: list[str]) -> dict[str, float]:
@@ -74,10 +74,11 @@ def ranking_metrics(ranked_docids: list[str], relevant: set[str],
 
 def com_score(doc_texts: list[str], sub_answers: list[str]) -> float:
     """Cumulative weighted coverage of an ordered list of documents."""
+    cov = phi_matrix(doc_texts, sub_answers)
     total = 0.0
-    for t in range(len(doc_texts)):
-        w = aspect_weights(doc_texts[:t], sub_answers)
-        total += sum(wi * phi(doc_texts[t], a) for wi, a in zip(w, sub_answers))
+    for t, row in enumerate(cov):
+        w = weights_from_rows(cov[:t], len(sub_answers))
+        total += sum(wi * c for wi, c in zip(w, row))
     return total
 
 

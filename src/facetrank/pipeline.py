@@ -73,6 +73,26 @@ class RunConfig:
     timeout: float = 30.0
     retries: int = 1
 
+    def __post_init__(self):
+        if self.aspect_mode not in ("gold", "predicted"):
+            raise ValueError(f"unknown aspect_mode: {self.aspect_mode!r}")
+        if self.ablation not in ("none", "no-sa", "random-pairs"):
+            raise ValueError(f"unknown ablation: {self.ablation!r}")
+        for name in ("k", "n_per_aspect", "pool_capacity", "num_samples",
+                     "generator_budget"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        for name in ("tau", "beta", "k_rrf", "timeout"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        for name in ("mu", "retries"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        if not 0 <= self.relevance_threshold <= 1:
+            raise ValueError("relevance_threshold must lie in [0, 1]")
+        if any(c < 1 for c in self.ndcg_cutoffs):
+            raise ValueError("ndcg_cutoffs must be >= 1")
+
     def fingerprint(self) -> str:
         canon = json.dumps(dataclasses.asdict(self), sort_keys=True)
         return hashlib.sha256(canon.encode()).hexdigest()[:16]

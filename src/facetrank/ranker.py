@@ -21,7 +21,7 @@ import numpy as np
 
 from .aspects import SubAspectList
 from .pool import Candidate, CandidatePool
-from .text_metrics import tokenize
+from .text_metrics import phi_matrix, tokenize
 
 
 @dataclass(frozen=True)
@@ -194,6 +194,7 @@ class ReferenceBackend:
         self.aspect_vectors = [
             self._unit_tf(f"{query} {a}") for a in aspects.aspects
         ]
+        self._coverage: dict[int, list[float]] = {}  # pool index -> phi row
 
     def _unit_tf(self, text: str) -> np.ndarray:
         v = np.zeros(max(len(self.vocab), 1))
@@ -204,10 +205,13 @@ class ReferenceBackend:
         return v / norm if norm > 0 else v
 
     def step_scores(self, selected) -> np.ndarray:
-        from .silver import aspect_weights
+        from .silver import weights_from_rows
 
-        chosen = [self.texts[i] for i in selected]
-        w = aspect_weights(chosen, list(self.aspects.aspects))
+        for i in selected:
+            if i not in self._coverage:
+                self._coverage[i] = phi_matrix([self.texts[i]], self.aspects.aspects)[0]
+        w = weights_from_rows([self._coverage[i] for i in selected],
+                              len(self.aspects.aspects))
         h = np.zeros(max(len(self.vocab), 1))
         for wj, vj in zip(w, self.aspect_vectors):
             h += wj * vj

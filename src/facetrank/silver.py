@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .pool import CandidatePool
 from .ranker import RankerConfig, sequence_log_prob
-from .text_metrics import phi
+from .text_metrics import phi_matrix
 
 
 @dataclass
@@ -22,48 +22,55 @@ class SilverTarget:
     weight_trace: list[list[float]]
 
 
-def aspect_weights(selected_docs: list[str], sub_answers: list[str]) -> list[float]:
-    """Per-aspect weights 1 - Norm(best coverage by selected docs).
+def weights_from_rows(rows: list[list[float]], n: int) -> list[float]:
+    """Per-aspect weights 1 - Norm(best coverage) over rows of phi_matrix.
 
-    With nothing selected (or nothing covered) the coverage vector is all
-    zeros; its sum-normalization is defined as all zeros, so every weight
-    is 1 and the first step is pure unweighted coverage.
+    rows[t][j] is the coverage of sub-answer j by the t-th selected doc.
+    With no rows (or nothing covered) the coverage vector is all zeros; its
+    sum-normalization is defined as all zeros, so every weight is 1 and
+    the first step is pure unweighted coverage.
     """
-    if not sub_answers:
+    if n < 1:
         raise ValueError("sub_answers must be non-empty")
-    cov = [
-        max((phi(doc, a) for doc in selected_docs), default=0.0)
-        for a in sub_answers
-    ]
+    cov = [max((row[j] for row in rows), default=0.0) for j in range(n)]
     total = sum(cov)
     if total == 0:
-        return [1.0] * len(sub_answers)
+        return [1.0] * n
     return [1.0 - c / total for c in cov]
+
+
+def aspect_weights(selected_docs: list[str], sub_answers: list[str]) -> list[float]:
+    """Per-aspect weights 1 - Norm(best coverage by selected docs)."""
+    return weights_from_rows(phi_matrix(selected_docs, sub_answers), len(sub_answers))
 
 
 def coverage_gain(doc_text: str, w: list[float], sub_answers: list[str]) -> float:
     """Weighted coverage utility of one document."""
     if len(w) != len(sub_answers):
         raise ValueError("weight / sub-answer dimension mismatch")
-    return sum(wi * phi(doc_text, a) for wi, a in zip(w, sub_answers))
+    return sum(wi * c for wi, c in zip(w, phi_matrix([doc_text], sub_answers)[0]))
 
 
 def build_silver_list(pool: CandidatePool, sub_answers: list[str], k: int) -> SilverTarget:
-    """Greedy argmax of the coverage utility, ties by lowest pool_index."""
+    """Greedy argmax of the coverage utility, ties by lowest pool_index.
+
+    The coverage of every sub-answer by every pool document is computed once;
+    each step reads it for the weights and for the gains.
+    """
     if not sub_answers:
         raise ValueError("sub_answers must be non-empty")
     if k > len(pool.candidates):
         raise ValueError("k exceeds pool size")
-    texts = [c.doc.text for c in pool.candidates]
+    cov = phi_matrix([c.doc.text for c in pool.candidates], sub_answers)
     docids: list[int] = []
     utilities: list[float] = []
     trace: list[list[float]] = []
-    remaining = list(range(len(texts)))
+    remaining = list(range(len(cov)))
     for _ in range(k):
-        w = aspect_weights([texts[i] for i in docids], sub_answers)
+        w = weights_from_rows([cov[i] for i in docids], len(sub_answers))
         best, best_gain = None, -1.0
         for i in remaining:
-            gain = coverage_gain(texts[i], w, sub_answers)
+            gain = sum(wi * c for wi, c in zip(w, cov[i]))
             if gain > best_gain:
                 best, best_gain = i, gain
         docids.append(best)

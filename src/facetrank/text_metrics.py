@@ -47,17 +47,28 @@ def _bigrams(tokens: list[str]) -> list[tuple[str, str]]:
 
 
 def _lcs_length(a: list[str], b: list[str]) -> int:
-    # single-row DP, O(len(a) * len(b))
+    """LCS length by the bit-parallel row update (Allison & Dix 1986; Hyyro 2004).
+
+    Bit i of v is 0 where the LCS of the prefix of b seen so far with
+    a[:i + 1] is longer than with a[:i]; masks are built over the shorter
+    sequence and the longer one is stepped over. A token absent from the
+    shorter sequence has u = 0 and leaves v unchanged, so it is skipped.
+    """
     if not a or not b:
         return 0
-    row = [0] * (len(b) + 1)
-    for x in a:
-        prev = 0
-        for j, y in enumerate(b, start=1):
-            cur = row[j]
-            row[j] = prev + 1 if x == y else max(row[j], row[j - 1])
-            prev = cur
-    return row[-1]
+    if len(a) > len(b):
+        a, b = b, a
+    masks: dict[str, int] = {}
+    for i, x in enumerate(a):
+        masks[x] = masks.get(x, 0) | (1 << i)
+    full = (1 << len(a)) - 1
+    v = full
+    for y in b:
+        m = masks.get(y)
+        if m:
+            u = v & m
+            v = ((v + u) | (v - u)) & full
+    return len(a) - v.bit_count()
 
 
 def rouge(candidate: list[str], reference: list[str], variant: str) -> OverlapScore:
@@ -86,9 +97,21 @@ def unigram_f1(candidate: list[str], reference: list[str]) -> OverlapScore:
 
 def phi(candidate_text: str, reference_text: str) -> float:
     """Coverage score: mean of Rouge-2 F1 and Rouge-L F1 on tokenized inputs."""
-    cand = tokenize(candidate_text)
-    ref = tokenize(reference_text)
+    return phi_tokens(tokenize(candidate_text), tokenize(reference_text))
+
+
+def phi_tokens(cand: list[str], ref: list[str]) -> float:
+    """phi on token sequences that are already tokenized."""
     return (rouge(cand, ref, "bigram").f1 + rouge(cand, ref, "lcs").f1) / 2.0
+
+
+def phi_matrix(texts: list[str], references: list[str]) -> list[list[float]]:
+    """Rows of phi: out[i][j] == phi(texts[i], references[j]).
+
+    Every text and every reference is tokenized once.
+    """
+    refs = [tokenize(r) for r in references]
+    return [[phi_tokens(cand, ref) for ref in refs] for cand in map(tokenize, texts)]
 
 
 def com_rouge(response: str, sub_answers: list[str]) -> float:
@@ -99,8 +122,9 @@ def com_rouge(response: str, sub_answers: list[str]) -> float:
     """
     if not sub_answers:
         raise ValueError("degenerate sub-answers")
-    counts = [len(tokenize(a)) for a in sub_answers]
-    total = sum(counts)
+    refs = [tokenize(a) for a in sub_answers]
+    total = sum(len(ref) for ref in refs)
     if total == 0:
         raise ValueError("degenerate sub-answers")
-    return sum((c / total) * phi(response, a) for c, a in zip(counts, sub_answers))
+    resp = tokenize(response)
+    return sum((len(ref) / total) * phi_tokens(resp, ref) for ref in refs)

@@ -111,24 +111,36 @@ def test_ncom_length_mismatch():
         ncom(["a"], ["b", "c"], ["x"])
 
 
+def oracle_com(lst, subs):
+    """List coverage recomputing phi for every prefix."""
+    total = 0.0
+    for t, doc in enumerate(lst):
+        prev = lst[:t]
+        cov = [max((phi(d, a) for d in prev), default=0.0) for a in subs]
+        s = sum(cov)
+        w = [1.0] * len(subs) if s == 0 else [1 - c / s for c in cov]
+        total += sum(wi * phi(doc, a) for wi, a in zip(w, subs))
+    return total
+
+
 def test_ncom_matches_independent_recomputation():
     subs = ["alpha beta gamma", "delta eps"]
     texts = ["alpha beta delta", "gamma eps zeta", "alpha delta eps"]
-
-    def oracle_com(lst):
-        total = 0.0
-        for t, doc in enumerate(lst):
-            prev = lst[:t]
-            cov = [max((phi(d, a) for d in prev), default=0.0) for a in subs]
-            s = sum(cov)
-            w = [1.0] * len(subs) if s == 0 else [1 - c / s for c in cov]
-            total += sum(wi * phi(doc, a) for wi, a in zip(w, subs))
-        return total
-
     silver_texts = [texts[2], texts[1], texts[0]]
     got = ncom(texts, silver_texts, subs)
-    assert got == pytest.approx(oracle_com(texts) / oracle_com(silver_texts))
-    assert com_score(texts, subs) == pytest.approx(oracle_com(texts))
+    assert got == oracle_com(texts, subs) / oracle_com(silver_texts, subs)
+    assert com_score(texts, subs) == oracle_com(texts, subs)
+
+
+def test_com_score_equals_oracle_on_random_lists():
+    rng = random.Random(5)
+    vocab = ["w%d" % i for i in range(6)]
+    for _ in range(40):
+        texts = [" ".join(rng.choices(vocab, k=rng.randint(0, 60)))
+                 for _ in range(rng.randint(0, 12))]
+        subs = [" ".join(rng.choices(vocab, k=rng.randint(0, 10)))
+                for _ in range(rng.randint(1, 4))]
+        assert com_score(texts, subs) == oracle_com(texts, subs)
 
 
 def test_rrf_hand_values():

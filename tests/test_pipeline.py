@@ -52,6 +52,45 @@ def test_load_config_rejects_unknown_keys(tmp_path):
         load_config(str(path))
 
 
+@pytest.mark.parametrize("field,value", [
+    ("aspect_mode", "whatever"),
+    ("ablation", "bogus"),
+    ("ablation", "random_pairs"),
+    ("k", 0),
+    ("n_per_aspect", 0),
+    ("pool_capacity", 0),
+    ("num_samples", 0),
+    ("generator_budget", 0),
+    ("tau", 0.0),
+    ("tau", -1.0),
+    ("beta", 0.0),
+    ("k_rrf", 0.0),
+    ("timeout", 0.0),
+    ("mu", -0.1),
+    ("retries", -1),
+    ("relevance_threshold", -0.1),
+    ("relevance_threshold", 1.5),
+    ("ndcg_cutoffs", (1, 0)),
+])
+def test_config_rejects_bad_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        RunConfig(**{field: value})
+
+
+def test_load_config_rejects_bad_ablation():
+    with pytest.raises(ValueError, match="ablation"):
+        load_config(None, ablation="random_pairs")
+
+
+def test_config_accepts_boundary_values():
+    cfg = RunConfig(k=1, n_per_aspect=1, pool_capacity=1, num_samples=1,
+                    generator_budget=1, mu=0.0, retries=0,
+                    relevance_threshold=0.0, ndcg_cutoffs=(1,),
+                    aspect_mode="predicted", ablation="random-pairs")
+    assert cfg.k == 1
+    assert RunConfig(relevance_threshold=1.0, ablation="no-sa").relevance_threshold == 1.0
+
+
 def test_fingerprint_stable_and_sensitive():
     a = RunConfig()
     b = RunConfig()

@@ -212,6 +212,26 @@ def test_reference_backend_identical_candidates_tiebreak():
     assert out.docids == [0]
 
 
+def test_reference_backend_reuse_matches_fresh_backend():
+    asp = SubAspectList(("red apples", "green pears", "blue plums"), source="gold")
+    texts = ["red apples fresh", "green pears ripe", "red apples green pears",
+             "blue plums", "nothing here", "plums pears apples"]
+    cands = [candidate(i, t) for i, t in enumerate(texts)]
+    reused = reference_backend("fruit", asp, cands)
+    # the last prefixes repeat indices, as decoding with allow_repetition does
+    prefixes = [[], [2], [2, 0], [2, 0, 5], [4], [3, 3], [3, 3, 1, 3], [5, 2, 5]]
+    for prefix in prefixes:
+        fresh = reference_backend("fruit", asp, cands)
+        assert np.array_equal(reused.step_scores(prefix), fresh.step_scores(prefix))
+    pool = make_pool(texts, query="fruit", aspects=asp.aspects)
+    cfg = RankerConfig(k=6, tau=0.5, allow_repetition=True, seed=3)
+    out = rank(pool, cfg, reused, mode="sampled")
+    for t in range(cfg.k):
+        fresh = reference_backend("fruit", asp, cands)
+        assert np.array_equal(reused.step_scores(out.docids[:t]),
+                              fresh.step_scores(out.docids[:t]))
+
+
 def test_ranker_config_validation():
     with pytest.raises(ValueError):
         RankerConfig(k=1, tau=0.0)

@@ -139,6 +139,38 @@ def test_greedy_certificate_random_instances():
         assert all(0 <= wi <= 1 for row in target.weight_trace for wi in row)
 
 
+def reference_greedy(texts, subs, k):
+    """The greedy loop that recomputes phi at every step."""
+    docids, utilities, trace = [], [], []
+    remaining = list(range(len(texts)))
+    for _ in range(k):
+        w = aspect_weights([texts[i] for i in docids], subs)
+        best, best_gain = None, -1.0
+        for i in remaining:
+            gain = coverage_gain(texts[i], w, subs)
+            if gain > best_gain:
+                best, best_gain = i, gain
+        docids.append(best)
+        utilities.append(best_gain)
+        trace.append(w)
+        remaining.remove(best)
+    return docids, utilities, trace
+
+
+def test_build_silver_equals_reference_greedy():
+    rng = random.Random(99)
+    vocab = ["w%d" % i for i in range(6)]
+    for _ in range(40):
+        n_docs = rng.randint(1, 30)
+        texts = [" ".join(rng.choices(vocab, k=rng.randint(0, 80))) for _ in range(n_docs)]
+        subs = [" ".join(rng.choices(vocab, k=rng.randint(0, 12)))
+                for _ in range(rng.randint(1, 5))]
+        k = rng.randint(1, n_docs)
+        target = build_silver_list(make_pool(texts), subs, k)
+        assert (target.docids, target.step_utilities, target.weight_trace) == \
+            reference_greedy(texts, subs, k)
+
+
 def test_sft_loss_uniform_backend():
     pool = make_pool(["a1 a2", "b1 b2", "c1 c2", "d1 d2"])
     target = build_silver_list(pool, ["a1 a2", "b1 b2"], 2)

@@ -2,9 +2,10 @@ import math
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from facetrank.text_metrics import com_rouge, phi, rouge, tokenize, unigram_f1
+from facetrank.text_metrics import (_lcs_length, com_rouge, phi, phi_matrix, rouge,
+                                    tokenize, unigram_f1)
 
 tokens = st.lists(st.sampled_from("abcdefgh"), max_size=10)
 
@@ -34,6 +35,20 @@ def brute_lcs(a, b):
         return max(rec(i + 1, j), rec(i, j + 1))
 
     return rec(0, 0)
+
+
+def dp_lcs(a, b):
+    """Single-row dynamic-programming LCS length, O(len(a) * len(b))."""
+    if not a or not b:
+        return 0
+    row = [0] * (len(b) + 1)
+    for x in a:
+        prev = 0
+        for j, y in enumerate(b, start=1):
+            cur = row[j]
+            row[j] = prev + 1 if x == y else max(row[j], row[j - 1])
+            prev = cur
+    return row[-1]
 
 
 def test_tokenize_rule():
@@ -112,6 +127,40 @@ def test_lcs_matches_bruteforce(cand, ref):
         lcs = brute_lcs(tuple(cand), tuple(ref))
         assert score.precision == pytest.approx(lcs / len(cand))
         assert score.recall == pytest.approx(lcs / len(ref))
+
+
+def small_alphabet_tokens(alphabet):
+    return st.integers(0, 200).flatmap(
+        lambda n: st.lists(st.sampled_from(alphabet), min_size=n, max_size=n))
+
+
+# 2-4 symbols and lengths drawn uniformly up to 200: heavy repetition, and
+# masks that span several 64-bit words on either side
+small_alphabet_pairs = st.sampled_from(["ab", "abc", "abcd"]).flatmap(
+    lambda alphabet: st.tuples(small_alphabet_tokens(alphabet),
+                               small_alphabet_tokens(alphabet)))
+
+
+@settings(deadline=None)
+@given(small_alphabet_pairs)
+@example((list("ab" * 100), list("ba" * 40)))
+@example((list("abc" * 5), list("cab" * 60)))
+@example((list("abc" * 60), list("cba" * 30)))
+@example(([], list("abc")))
+@example((list("abc"), []))
+def test_bit_parallel_lcs_matches_dp(pair):
+    a, b = pair
+    assert _lcs_length(a, b) == dp_lcs(a, b)
+    assert _lcs_length(b, a) == dp_lcs(a, b)
+
+
+texts = st.lists(st.text(alphabet="ab cd.", max_size=30), max_size=4)
+
+
+@given(texts, texts)
+def test_phi_matrix_equals_phi(cands, refs):
+    out = phi_matrix(cands, refs)
+    assert out == [[phi(c, r) for r in refs] for c in cands]
 
 
 @given(tokens, tokens)
