@@ -2,7 +2,8 @@
 
 The framework treats the retriever as fixed and opaque, so any scorer can
 stand in; this one is a plain inverted-index BM25 kept deterministic
-(ties broken by ascending doc_id) so golden tests are stable.
+(ties broken by ascending doc_id) so golden tests are stable. Queries are
+scored over per-term arrays that the index builds on first use.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .text_metrics import tokenize
 
@@ -30,6 +33,37 @@ class InvertedIndex:
     k1: float = 1.2
     b: float = 0.75
     documents: dict[str, Document] = field(default_factory=dict)
+    # Built by retrieve() on first use, so an index that only serves as a
+    # document map costs nothing more; positions follow doc_lengths order.
+    _scoring: _ScoringArrays | None = field(default=None, init=False,
+                                            repr=False, compare=False)
+
+
+class _ScoringArrays:
+    """Per-document BM25 length norms and doc_id ranks, and the (position,
+    tf) arrays of each term a query has used so far."""
+
+    def __init__(self, index: InvertedIndex):
+        self.doc_ids = list(index.doc_lengths)
+        self.position = {d: i for i, d in enumerate(self.doc_ids)}
+        n = len(self.doc_ids)
+        dl = np.fromiter(index.doc_lengths.values(), dtype=np.float64, count=n)
+        # the operations and their order of the scalar formula
+        # k1 * (1 - b + b * dl / avg), so scores stay bit-identical
+        self.norm = index.k1 * ((1 - index.b) + index.b * dl / index.avg_doc_length)
+        self.rank = np.empty(n, dtype=np.intp)  # position -> rank of its doc_id
+        self.rank[sorted(range(n), key=self.doc_ids.__getitem__)] = np.arange(n)
+        self.terms: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+
+    def term(self, postings: list[tuple[str, int]], term: str) -> tuple[np.ndarray, np.ndarray]:
+        arrays = self.terms.get(term)
+        if arrays is None:
+            pos = np.fromiter((self.position[d] for d, _ in postings),
+                              dtype=np.intp, count=len(postings))
+            tf = np.fromiter((f for _, f in postings), dtype=np.float64,
+                             count=len(postings))
+            arrays = self.terms[term] = (pos, tf)
+        return arrays
 
 
 def load_corpus(path: str) -> list[Document]:
@@ -87,14 +121,18 @@ def retrieve(index: InvertedIndex, query: str, n: int) -> list[tuple[str, float]
     q_tokens = tokenize(query)
     if not q_tokens:
         raise ValueError("empty query")
-    scores: dict[str, float] = {}
+    if index._scoring is None:
+        index._scoring = _ScoringArrays(index)
+    arrays = index._scoring
+    scores = np.zeros(index.doc_count, dtype=np.float64)
+    matched = np.zeros(index.doc_count, dtype=bool)
     for term in q_tokens:
         if term not in index.postings:
             continue
         idf = _idf(index, term)
-        for doc_id, tf in index.postings[term]:
-            dl = index.doc_lengths[doc_id]
-            denom = tf + index.k1 * (1 - index.b + index.b * dl / index.avg_doc_length)
-            scores[doc_id] = scores.get(doc_id, 0.0) + idf * tf * (index.k1 + 1) / denom
-    ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
-    return ranked[:n]
+        pos, tf = arrays.term(index.postings[term], term)
+        scores[pos] += idf * tf * (index.k1 + 1) / (tf + arrays.norm[pos])
+        matched[pos] = True
+    hits = np.flatnonzero(matched)
+    top = hits[np.lexsort((arrays.rank[hits], -scores[hits]))[:n]]
+    return [(arrays.doc_ids[i], float(scores[i])) for i in top]

@@ -11,19 +11,17 @@ import math
 
 from .pool import CandidatePool
 from .silver import weights_from_rows
-from .text_metrics import phi, phi_matrix, rouge, tokenize, unigram_f1
+from .text_metrics import phi_matrix, rouge, tokenize, unigram_f1
 
 
 def evaluate_response(response: str, answer: str, sub_answers: list[str]) -> dict[str, float]:
     """F1 / R2 / RL against the answer, CR2 / CRL against the sub-answers."""
     resp = tokenize(response)
     ans = tokenize(answer)
-    counts = [len(tokenize(a)) for a in sub_answers]
-    total = sum(counts) or 1
-    cr2 = sum((c / total) * rouge(resp, tokenize(a), "bigram").f1
-              for c, a in zip(counts, sub_answers))
-    crl = sum((c / total) * rouge(resp, tokenize(a), "lcs").f1
-              for c, a in zip(counts, sub_answers))
+    refs = [tokenize(a) for a in sub_answers]
+    total = sum(len(ref) for ref in refs) or 1
+    cr2 = sum((len(ref) / total) * rouge(resp, ref, "bigram").f1 for ref in refs)
+    crl = sum((len(ref) / total) * rouge(resp, ref, "lcs").f1 for ref in refs)
     return {
         "f1": unigram_f1(resp, ans).f1,
         "r2": rouge(resp, ans, "bigram").f1,
@@ -37,10 +35,9 @@ def label_relevance(pool: CandidatePool, answer: str, threshold: float = 0.5) ->
     """Doc ids whose coverage of the gold answer strictly exceeds threshold."""
     if not 0 <= threshold <= 1:
         raise ValueError("threshold must lie in [0, 1]")
-    return {
-        c.doc.doc_id for c in pool.candidates
-        if phi(c.doc.text, answer) > threshold
-    }
+    coverage = phi_matrix([c.doc.text for c in pool.candidates], [answer])
+    return {c.doc.doc_id for c, (cov,) in zip(pool.candidates, coverage)
+            if cov > threshold}
 
 
 def ranking_metrics(ranked_docids: list[str], relevant: set[str],

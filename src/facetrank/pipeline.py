@@ -3,8 +3,9 @@
 Stages: index -> aspects -> retrieve -> pool -> silver -> rank -> pairs
 -> eval. Each stage reads the upstream cache files, writes its own
 newline-delimited JSON artifact keyed by record id, and embeds the run
-config's fingerprint so artifacts from different configurations can never
-be mixed.
+config's fingerprint and a digest of the input files, so artifacts from
+different configurations or inputs can never be mixed. The inputs are
+parsed, and the BM25 index built, once per run (`RunInputs`).
 """
 
 from __future__ import annotations
@@ -16,10 +17,11 @@ import logging
 import os
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import evaluation, preferences, silver
 from .aspects import HttpLlmClient, SubAspectList, ExplorerPrompt, predict_aspects
-from .corpus import Document, InvertedIndex, build_index, load_corpus, retrieve
+from .corpus import InvertedIndex, build_index, load_corpus, retrieve
 from .pool import CandidatePool, merge_pool, pool_from_dict, pool_to_dict, retrieve_per_aspect
 from .ranker import RankerConfig, RemoteBackend, rank, reference_backend
 
@@ -149,6 +151,36 @@ def _squash(text: str) -> str:
     return " ".join(text.split())
 
 
+def _input_digest(*paths: str) -> str:
+    """sha256 over each file's size and bytes, in order."""
+    h = hashlib.sha256()
+    for path in paths:
+        with open(path, "rb") as fh:
+            h.update(b"%d\n" % os.fstat(fh.fileno()).st_size)
+            for chunk in iter(lambda: fh.read(1 << 20), b""):
+                h.update(chunk)
+    return h.hexdigest()[:16]
+
+
+class RunInputs:
+    """The inputs of one run: the dataset records, the BM25 index built from
+    one corpus parse when a stage first asks for it, and the header every
+    artifact carries (config fingerprint and input-file digest).
+    """
+
+    def __init__(self, config: RunConfig, dataset_path: str, corpus_path: str):
+        self.config = config
+        self.paths = (dataset_path, corpus_path)
+        self.records = load_dataset(dataset_path)
+        self.header = {"config_fingerprint": config.fingerprint(),
+                       "input_digest": _input_digest(dataset_path, corpus_path)}
+
+    @cached_property
+    def index(self) -> InvertedIndex:
+        return build_index(load_corpus(self.paths[1]), k1=self.config.bm25_k1,
+                           b=self.config.bm25_b)
+
+
 # ---------------------------------------------------------------------------
 # artifact IO
 
@@ -168,18 +200,21 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _write_rows(path: str, fingerprint: str, rows: list[dict]) -> None:
+def _write_rows(path: str, inputs: RunInputs, rows: list[dict]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_dump({"config_fingerprint": fingerprint}) + "\n")
+        fh.write(_dump(inputs.header) + "\n")
         for row in rows:
             fh.write(_dump(row) + "\n")
 
 
-def _read_rows(path: str, fingerprint: str) -> list[dict]:
+def _read_rows(path: str, inputs: RunInputs) -> list[dict]:
+    """Rows after the header; rejects an artifact written under another
+    config or from other input files."""
     with open(path, encoding="utf-8") as fh:
         lines = [json.loads(l) for l in fh if l.strip()]
-    if not lines or lines[0].get("config_fingerprint") != fingerprint:
-        raise ValueError(f"artifact fingerprint mismatch: {path}")
+    for key, value in inputs.header.items():
+        if not lines or lines[0].get(key) != value:
+            raise ValueError(f"artifact {key} mismatch: {path}")
     return lines[1:]
 
 
@@ -187,21 +222,15 @@ def _read_rows(path: str, fingerprint: str) -> list[dict]:
 # stage implementations
 
 
-def _load_index(out_dir: str, config: RunConfig, corpus_path: str) -> InvertedIndex:
-    _require(out_dir, "index")
-    with open(_artifact_path(out_dir, "index"), encoding="utf-8") as fh:
-        meta = json.load(fh)
-    if meta["config_fingerprint"] != config.fingerprint():
-        raise ValueError("artifact fingerprint mismatch: index")
-    docs = load_corpus(corpus_path)
-    return build_index(docs, k1=config.bm25_k1, b=config.bm25_b)
+def _load_index(out_dir: str, inputs: RunInputs) -> InvertedIndex:
+    _read_rows(_require(out_dir, "index"), inputs)  # index.json is one header line
+    return inputs.index
 
 
-def _stage_index(config, records, corpus_path, out_dir):
-    docs = load_corpus(corpus_path)
-    index = build_index(docs, k1=config.bm25_k1, b=config.bm25_b)
+def _stage_index(config, inputs, out_dir):
+    index = inputs.index
     meta = {
-        "config_fingerprint": config.fingerprint(),
+        **inputs.header,
         "doc_count": index.doc_count,
         "avg_doc_length": index.avg_doc_length,
         "k1": index.k1,
@@ -213,7 +242,7 @@ def _stage_index(config, records, corpus_path, out_dir):
     return {"count": index.doc_count}
 
 
-def _stage_aspects(config, records, corpus_path, out_dir):
+def _stage_aspects(config, inputs, out_dir):
     rows = []
     client = None
     if config.aspect_mode == "predicted" and config.ablation != "no-sa":
@@ -222,7 +251,7 @@ def _stage_aspects(config, records, corpus_path, out_dir):
         client = HttpLlmClient(config.explorer_endpoint, timeout=config.timeout,
                                retries=config.retries)
     prompt = ExplorerPrompt()
-    for rec in records:
+    for rec in inputs.records:
         if config.ablation == "no-sa":
             aspects = SubAspectList((rec.question,), source="fallback")
         elif config.aspect_mode == "gold":
@@ -231,66 +260,65 @@ def _stage_aspects(config, records, corpus_path, out_dir):
             aspects = predict_aspects(rec.question, prompt, client)
         rows.append({"id": rec.id, "aspects": list(aspects.aspects),
                      "source": aspects.source})
-    _write_rows(_artifact_path(out_dir, "aspects"), config.fingerprint(), rows)
+    _write_rows(_artifact_path(out_dir, "aspects"), inputs, rows)
     return {"count": len(rows)}
 
 
-def _load_aspects(out_dir: str, config: RunConfig) -> dict[str, SubAspectList]:
-    rows = _read_rows(_require(out_dir, "aspects"), config.fingerprint())
+def _load_aspects(out_dir: str, inputs: RunInputs) -> dict[str, SubAspectList]:
+    rows = _read_rows(_require(out_dir, "aspects"), inputs)
     return {r["id"]: SubAspectList(tuple(r["aspects"]), source=r["source"])
             for r in rows}
 
 
-def _stage_retrieve(config, records, corpus_path, out_dir):
-    index = _load_index(out_dir, config, corpus_path)
-    aspects = _load_aspects(out_dir, config)
+def _stage_retrieve(config, inputs, out_dir):
+    index = _load_index(out_dir, inputs)
+    aspects = _load_aspects(out_dir, inputs)
     rows = []
-    for rec in records:
+    for rec in inputs.records:
         lists = retrieve_per_aspect(index, rec.question, aspects[rec.id],
                                     config.n_per_aspect)
         rows.append({"id": rec.id,
                      "lists": [[[d, s] for d, s in lst] for lst in lists]})
-    _write_rows(_artifact_path(out_dir, "retrieve"), config.fingerprint(), rows)
+    _write_rows(_artifact_path(out_dir, "retrieve"), inputs, rows)
     return {"count": len(rows)}
 
 
-def _load_retrieve(out_dir: str, config: RunConfig) -> dict[str, list[list[tuple[str, float]]]]:
-    rows = _read_rows(_require(out_dir, "retrieve"), config.fingerprint())
+def _load_retrieve(out_dir: str, inputs: RunInputs) -> dict[str, list[list[tuple[str, float]]]]:
+    rows = _read_rows(_require(out_dir, "retrieve"), inputs)
     return {r["id"]: [[(d, s) for d, s in lst] for lst in r["lists"]] for r in rows}
 
 
-def _stage_pool(config, records, corpus_path, out_dir):
-    docs = {d.doc_id: d for d in load_corpus(corpus_path)}
-    aspects = _load_aspects(out_dir, config)
-    lists = _load_retrieve(out_dir, config)
+def _stage_pool(config, inputs, out_dir):
+    aspects = _load_aspects(out_dir, inputs)
+    lists = _load_retrieve(out_dir, inputs)
     rows = []
-    for rec in records:
+    for rec in inputs.records:
         pool = merge_pool(rec.question, aspects[rec.id], lists[rec.id],
-                          config.pool_capacity, docs)
+                          config.pool_capacity, inputs.index.documents)
         rows.append(pool_to_dict(rec.id, pool))
-    _write_rows(_artifact_path(out_dir, "pool"), config.fingerprint(), rows)
+    _write_rows(_artifact_path(out_dir, "pool"), inputs, rows)
     return {"count": len(rows)}
 
 
-def _load_pools(out_dir: str, config: RunConfig, records, corpus_path) -> dict[str, CandidatePool]:
-    docs = {d.doc_id: d for d in load_corpus(corpus_path)}
-    aspects = _load_aspects(out_dir, config)
-    rows = _read_rows(_require(out_dir, "pool"), config.fingerprint())
-    by_id = {rec.id: rec for rec in records}
+def _load_pools(out_dir: str, inputs: RunInputs) -> dict[str, CandidatePool]:
+    aspects = _load_aspects(out_dir, inputs)
+    rows = _read_rows(_require(out_dir, "pool"), inputs)
+    by_id = {rec.id: rec for rec in inputs.records}
     pools = {}
     for row in rows:
         rec = by_id[row["query_id"]]
         pools[rec.id] = pool_from_dict(row, rec.question,
                                        aspects[rec.id].source,
-                                       config.pool_capacity, docs)
+                                       inputs.config.pool_capacity,
+                                       inputs.index.documents)
     return pools
 
 
-def _stage_silver(config, records, corpus_path, out_dir):
-    pools = _load_pools(out_dir, config, records, corpus_path)
+def _stage_silver(config, inputs, out_dir):
+    pools = _load_pools(out_dir, inputs)
     rows = []
     failures = []
-    for rec in records:
+    for rec in inputs.records:
         try:
             target = silver.build_silver_list(pools[rec.id],
                                               list(rec.sub_answers), config.k)
@@ -299,7 +327,7 @@ def _stage_silver(config, records, corpus_path, out_dir):
             continue
         rows.append({"query_id": rec.id, "docids": target.docids,
                      "step_utilities": target.step_utilities})
-    _write_rows(_artifact_path(out_dir, "silver"), config.fingerprint(), rows)
+    _write_rows(_artifact_path(out_dir, "silver"), inputs, rows)
     return {"count": len(rows), "failures": failures}
 
 
@@ -317,12 +345,12 @@ def _ranker_config(config: RunConfig) -> RankerConfig:
                         seed=config.seed)
 
 
-def _stage_rank(config, records, corpus_path, out_dir):
-    pools = _load_pools(out_dir, config, records, corpus_path)
+def _stage_rank(config, inputs, out_dir):
+    pools = _load_pools(out_dir, inputs)
     rcfg = _ranker_config(config)
     rows = []
     failures = []
-    for rec in records:
+    for rec in inputs.records:
         try:
             ranking = rank(pools[rec.id], rcfg, _make_backend(config, pools[rec.id]))
         except ValueError as err:
@@ -330,7 +358,7 @@ def _stage_rank(config, records, corpus_path, out_dir):
             continue
         rows.append({"query_id": rec.id, "docids": ranking.docids,
                      "step_logprobs": ranking.step_logprobs, "mode": ranking.mode})
-    _write_rows(_artifact_path(out_dir, "rank"), config.fingerprint(), rows)
+    _write_rows(_artifact_path(out_dir, "rank"), inputs, rows)
     return {"count": len(rows), "failures": failures}
 
 
@@ -342,13 +370,13 @@ def _make_generator(config: RunConfig):
     return preferences.OracleGenerator(budget=config.generator_budget)
 
 
-def _stage_pairs(config, records, corpus_path, out_dir):
-    pools = _load_pools(out_dir, config, records, corpus_path)
+def _stage_pairs(config, inputs, out_dir):
+    pools = _load_pools(out_dir, inputs)
     rcfg = _ranker_config(config)
     generator = _make_generator(config)
     rows = []
     failures = []
-    for rec_idx, rec in enumerate(records):
+    for rec_idx, rec in enumerate(inputs.records):
         pool = pools[rec.id]
         try:
             lists = preferences.generate_rewarded_lists(
@@ -372,7 +400,7 @@ def _stage_pairs(config, records, corpus_path, out_dir):
                 "mu": config.mu,
                 "beta": config.beta,
             })
-    _write_rows(_artifact_path(out_dir, "pairs"), config.fingerprint(), rows)
+    _write_rows(_artifact_path(out_dir, "pairs"), inputs, rows)
     return {"count": len(rows), "failures": failures}
 
 
@@ -391,20 +419,20 @@ def _random_pairs(lists, rng: random.Random):
     return pairs
 
 
-def _stage_eval(config, records, corpus_path, out_dir):
-    index = _load_index(out_dir, config, corpus_path)
-    pools = _load_pools(out_dir, config, records, corpus_path)
-    per_aspect = _load_retrieve(out_dir, config)
+def _stage_eval(config, inputs, out_dir):
+    index = _load_index(out_dir, inputs)
+    pools = _load_pools(out_dir, inputs)
+    per_aspect = _load_retrieve(out_dir, inputs)
     silver_rows = {r["query_id"]: r for r in
-                   _read_rows(_require(out_dir, "silver"), config.fingerprint())}
+                   _read_rows(_require(out_dir, "silver"), inputs)}
     rank_rows = {r["query_id"]: r for r in
-                 _read_rows(_require(out_dir, "rank"), config.fingerprint())}
+                 _read_rows(_require(out_dir, "rank"), inputs)}
     generator = _make_generator(config)
     cutoffs = list(config.ndcg_cutoffs)
 
     per_query: dict[str, dict] = {}
     skipped = []
-    for rec in records:
+    for rec in inputs.records:
         if rec.id not in silver_rows or rec.id not in rank_rows:
             skipped.append(rec.id)
             continue
@@ -447,7 +475,7 @@ def _stage_eval(config, records, corpus_path, out_dir):
                 for key in keys
             }
     report = {
-        "config_fingerprint": config.fingerprint(),
+        **inputs.header,
         "num_queries": len(per_query),
         "skipped": sorted(skipped),
         "per_query": per_query,
@@ -492,19 +520,30 @@ _STAGE_FUNCS = {
 
 
 def run_stage(stage: str, config: RunConfig, dataset_path: str,
-              corpus_path: str, out_dir: str) -> dict:
-    """Run one named stage; upstream artifacts must already exist."""
+              corpus_path: str, out_dir: str, *,
+              inputs: RunInputs | None = None) -> dict:
+    """Run one named stage; upstream artifacts must already exist.
+
+    `inputs` shares one parse of the inputs across stages; it must have been
+    made from the same config and paths. Without it the stage reads the
+    inputs itself.
+    """
     if stage not in _STAGE_FUNCS:
         raise ValueError(f"unknown stage: {stage!r}")
+    if inputs is None:
+        inputs = RunInputs(config, dataset_path, corpus_path)
+    elif (inputs.config, inputs.paths) != (config, (dataset_path, corpus_path)):
+        raise ValueError("inputs were made from another config or other paths")
     os.makedirs(out_dir, exist_ok=True)
-    records = load_dataset(dataset_path)
-    return _STAGE_FUNCS[stage](config, records, corpus_path, out_dir)
+    return _STAGE_FUNCS[stage](config, inputs, out_dir)
 
 
 def run_pipeline(config: RunConfig, dataset_path: str, corpus_path: str,
                  out_dir: str) -> dict:
-    """Run all stages in order; returns the eval stage's report."""
+    """Run all stages in order on one RunInputs; returns the eval stage's report."""
+    inputs = RunInputs(config, dataset_path, corpus_path)
     stats = {}
     for stage in STAGES:
-        stats[stage] = run_stage(stage, config, dataset_path, corpus_path, out_dir)
+        stats[stage] = run_stage(stage, config, dataset_path, corpus_path, out_dir,
+                                 inputs=inputs)
     return stats["eval"]["report"]

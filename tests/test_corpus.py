@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from facetrank.corpus import Document, build_index, retrieve
+from facetrank.corpus import Document, _idf, build_index, retrieve
 from facetrank.text_metrics import tokenize
 
 
@@ -117,3 +117,53 @@ def test_retrieve_matches_fullscan_oracle(texts, query_tokens):
     assert [d for d, _ in got] == [d for d, _ in expected]
     for (_, s1), (_, s2) in zip(got, expected):
         assert s1 == pytest.approx(s2, abs=1e-9)
+
+
+def dict_retrieve(index, query, n):
+    """The scalar BM25 loop retrieve() replaced: a score dict per query,
+    sorted by (-score, doc_id)."""
+    scores = {}
+    for term in tokenize(query):
+        if term not in index.postings:
+            continue
+        idf = _idf(index, term)
+        for doc_id, tf in index.postings[term]:
+            dl = index.doc_lengths[doc_id]
+            denom = tf + index.k1 * (1 - index.b + index.b * dl / index.avg_doc_length)
+            scores[doc_id] = scores.get(doc_id, 0.0) + idf * tf * (index.k1 + 1) / denom
+    ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
+    return ranked[:n]
+
+
+@st.composite
+def index_and_queries(draw):
+    # few symbols and short documents make repeated texts, hence tied
+    # scores; doc ids are numbered in a shuffled order, so corpus order,
+    # numeric order and string order ("d10" < "d2") all differ
+    texts = draw(st.lists(
+        st.lists(st.sampled_from("abcd"), min_size=1, max_size=6).map(" ".join),
+        min_size=1, max_size=25))
+    numbers = draw(st.permutations(range(len(texts))))
+    documents = [Document(f"d{i}", "", t) for i, t in zip(numbers, texts)]
+    k1 = draw(st.sampled_from([1.2, 0.0, 0.5, 2.0]) | st.floats(0.01, 3.0))
+    b = draw(st.sampled_from([0.75, 0.0, 1.0]) | st.floats(0.0, 1.0))
+    # "x" and "y" never occur in the corpus; a token can repeat in a query
+    queries = draw(st.lists(
+        st.lists(st.sampled_from("abcdxy"), min_size=1, max_size=5).map(" ".join),
+        min_size=1, max_size=4))
+    n = draw(st.integers(1, 30))
+    return build_index(documents, k1=k1, b=b), queries, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(index_and_queries())
+def test_retrieve_equals_dict_oracle(case):
+    index, queries, n = case
+    # several queries on one index also exercise the per-term arrays it keeps
+    for query in queries:
+        assert retrieve(index, query, n) == dict_retrieve(index, query, n)
+
+
+def test_retrieve_breaks_ties_by_doc_id_string():
+    index = build_index([Document(d, "", "same text") for d in ("d2", "d10", "d1")])
+    assert [d for d, _ in retrieve(index, "text", 3)] == ["d1", "d10", "d2"]

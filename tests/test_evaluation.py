@@ -33,11 +33,11 @@ def test_evaluate_response_matches_bruteforce():
               for c, a in zip(counts, subs))
     crl = sum((c / total) * rouge(rt, tokenize(a), "lcs").f1
               for c, a in zip(counts, subs))
-    assert m["f1"] == pytest.approx(unigram_f1(rt, at).f1)
-    assert m["r2"] == pytest.approx(rouge(rt, at, "bigram").f1)
-    assert m["rl"] == pytest.approx(rouge(rt, at, "lcs").f1)
-    assert m["cr2"] == pytest.approx(cr2)
-    assert m["crl"] == pytest.approx(crl)
+    assert m["f1"] == unigram_f1(rt, at).f1
+    assert m["r2"] == rouge(rt, at, "bigram").f1
+    assert m["rl"] == rouge(rt, at, "lcs").f1
+    assert m["cr2"] == cr2
+    assert m["crl"] == crl
 
 
 def test_label_relevance_rules():
@@ -53,6 +53,21 @@ def test_label_relevance_strict_threshold():
     one_token = make_pool(["greetings"])
     assert phi("greetings", "greetings") == pytest.approx(0.5)
     assert label_relevance(one_token, "greetings") == set()
+
+
+def test_label_relevance_equals_per_document_phi_on_random_pools():
+    rng = random.Random(7)
+    vocab = ["w%d" % i for i in range(5)]
+    for _ in range(40):
+        texts = [" ".join(rng.choices(vocab, k=rng.randint(0, 12)))
+                 for _ in range(rng.randint(1, 10))]
+        answer = " ".join(rng.choices(vocab, k=rng.randint(1, 12)))
+        pool = make_pool(texts)
+        phis = [phi(t, answer) for t in texts]
+        # thresholds equal to a document's phi probe the strict rule
+        for threshold in (0.0, 0.5, 1.0, rng.random(), rng.choice(phis)):
+            expected = {f"d{i}" for i, p in enumerate(phis) if p > threshold}
+            assert label_relevance(pool, answer, threshold) == expected
 
 
 def test_ranking_metrics_perfect():

@@ -4,10 +4,12 @@ import os
 
 import pytest
 
+from facetrank import pipeline
 from facetrank.cli import main as cli_main
 from facetrank.pipeline import (
     STAGES,
     RunConfig,
+    RunInputs,
     load_config,
     load_dataset,
     run_pipeline,
@@ -188,12 +190,16 @@ def test_all_artifacts_written(run_dir):
         assert os.path.exists(os.path.join(run_dir, name)), name
 
 
-def test_artifacts_carry_fingerprint(run_dir, small_config):
+def test_artifacts_carry_fingerprint(run_dir, synthetic_paths, small_config):
     fp = small_config.fingerprint()
-    for name in ["aspects.jsonl", "pool.jsonl", "rank.jsonl", "report.json"]:
+    digest = RunInputs(small_config, *synthetic_paths).header["input_digest"]
+    assert len(digest) == 16
+    for name in ["index.json", "aspects.jsonl", "retrieve.jsonl", "pool.jsonl",
+                 "silver.jsonl", "rank.jsonl", "pairs.jsonl", "report.json"]:
         with open(os.path.join(run_dir, name), encoding="utf-8") as fh:
             head = json.loads(fh.readline())
         assert head["config_fingerprint"] == fp
+        assert head["input_digest"] == digest
 
 
 def test_stage_counts(run_dir, synthetic_paths, small_config):
@@ -223,16 +229,59 @@ def test_fingerprint_mismatch_rejected(run_dir, synthetic_paths, small_config):
         run_stage("pool", other, dataset, corpus, run_dir)
 
 
+def _assert_same_files(dir_a, dir_b):
+    names = sorted(os.listdir(dir_a))
+    assert names == sorted(os.listdir(dir_b))
+    for name in names:
+        with open(os.path.join(dir_a, name), "rb") as fa, \
+                open(os.path.join(dir_b, name), "rb") as fb:
+            assert fa.read() == fb.read(), name
+
+
 def test_reruns_are_byte_identical(tmp_path, synthetic_paths, small_config):
     dataset, corpus = synthetic_paths
     out_a = str(tmp_path / "a")
     out_b = str(tmp_path / "b")
     run_pipeline(small_config, dataset, corpus, out_a)
     run_pipeline(small_config, dataset, corpus, out_b)
-    for name in os.listdir(out_a):
-        with open(os.path.join(out_a, name), "rb") as fa, \
-                open(os.path.join(out_b, name), "rb") as fb:
-            assert fa.read() == fb.read(), name
+    _assert_same_files(out_a, out_b)
+
+
+def test_pipeline_parses_inputs_once(tmp_path, synthetic_paths, small_config,
+                                    monkeypatch):
+    calls = {"load_dataset": 0, "load_corpus": 0, "build_index": 0}
+
+    def counted(name):
+        original = getattr(pipeline, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(pipeline, name, counted(name))
+    run_pipeline(small_config, *synthetic_paths, str(tmp_path))
+    assert calls == {"load_dataset": 1, "load_corpus": 1, "build_index": 1}
+
+
+def test_shared_and_fresh_inputs_write_identical_artifacts(tmp_path, synthetic_paths,
+                                                            small_config):
+    dataset, corpus = synthetic_paths
+    shared, fresh = str(tmp_path / "shared"), str(tmp_path / "fresh")
+    run_pipeline(small_config, dataset, corpus, shared)
+    for stage in STAGES:
+        run_stage(stage, small_config, dataset, corpus, fresh)
+    _assert_same_files(shared, fresh)
+
+
+def test_run_stage_rejects_inputs_of_another_config(tmp_path, synthetic_paths,
+                                                    small_config):
+    dataset, corpus = synthetic_paths
+    inputs = RunInputs(RunConfig(), dataset, corpus)
+    with pytest.raises(ValueError, match="another config"):
+        run_stage("index", small_config, dataset, corpus, str(tmp_path),
+                  inputs=inputs)
 
 
 def test_no_sa_ablation_collapses_aspects(tmp_path, synthetic_paths, small_config):
@@ -298,3 +347,17 @@ def test_cli_pipeline_with_overrides(tmp_path, synthetic_paths, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["num_queries"] == 20
     assert "ranked" in out["means"]
+
+
+def test_changed_corpus_rejects_stale_artifacts(tmp_path, synthetic_paths, small_config):
+    dataset, corpus = synthetic_paths
+    out = str(tmp_path / "run")
+    for stage in ("index", "aspects", "retrieve"):
+        run_stage(stage, small_config, dataset, corpus, out)
+    with open(corpus, encoding="utf-8") as fh:
+        docs = [json.loads(line) for line in fh if line.strip()]
+    docs[0]["text"] += " changed"
+    changed = str(tmp_path / "corpus.jsonl")
+    _write_jsonl(changed, docs)
+    with pytest.raises(ValueError, match="input_digest mismatch"):
+        run_stage("pool", small_config, dataset, changed, out)
