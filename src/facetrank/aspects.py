@@ -97,6 +97,27 @@ def explorer_sft_loss(token_logprobs: list[float]) -> float:
     return -sum(token_logprobs)
 
 
+def post_json(endpoint: str, payload: dict, timeout: float, retries: int) -> dict:
+    """POST a JSON payload and return the decoded JSON reply.
+
+    A transport error, an HTTP error status, a timeout or a reply that is
+    not JSON is retried; after retries + 1 failed attempts RuntimeError is
+    raised, chained to the last error.
+    """
+    import requests
+
+    last_err = None
+    for _ in range(retries + 1):
+        try:
+            resp = requests.post(endpoint, json=payload, timeout=timeout)
+            resp.raise_for_status()
+            return resp.json()
+        except requests.RequestException as err:
+            last_err = err
+    raise RuntimeError(f"POST {endpoint} failed after {retries + 1} attempts: "
+                       f"{last_err}") from last_err
+
+
 @dataclass
 class HttpLlmClient:
     """Minimal HTTP completion client: {"prompt", "max_tokens"} -> {"text"}."""
@@ -106,18 +127,5 @@ class HttpLlmClient:
     retries: int = 1
 
     def complete(self, prompt: str, max_tokens: int) -> str:
-        import requests
-
-        last_err = None
-        for _ in range(self.retries + 1):
-            try:
-                resp = requests.post(
-                    self.endpoint,
-                    json={"prompt": prompt, "max_tokens": max_tokens},
-                    timeout=self.timeout,
-                )
-                resp.raise_for_status()
-                return resp.json()["text"]
-            except Exception as err:  # noqa: BLE001 - surfaced to caller below
-                last_err = err
-        raise RuntimeError(f"LLM client failed: {last_err}") from last_err
+        return post_json(self.endpoint, {"prompt": prompt, "max_tokens": max_tokens},
+                         self.timeout, self.retries)["text"]

@@ -2,19 +2,25 @@
 
 The framework treats the retriever as fixed and opaque, so any scorer can
 stand in; this one is a plain inverted-index BM25 kept deterministic
-(ties broken by ascending doc_id) so golden tests are stable. Queries are
-scored over per-term arrays that the index builds on first use.
+(ties broken by ascending doc_id) so golden tests are stable. The postings
+are compressed-row arrays: term t's documents and term frequencies are
+doc_pos[indptr[t]:indptr[t + 1]] and tf[indptr[t]:indptr[t + 1]].
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from array import array
+from collections import defaultdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from .text_metrics import tokenize
+
+_raw_decode = json.JSONDecoder().raw_decode
 
 
 @dataclass(frozen=True)
@@ -26,44 +32,18 @@ class Document:
 
 @dataclass
 class InvertedIndex:
-    postings: dict[str, list[tuple[str, int]]]
-    doc_lengths: dict[str, int]
+    terms: dict[str, int]  # term -> row of the postings
+    indptr: np.ndarray  # row t spans indptr[t]:indptr[t + 1]
+    doc_pos: np.ndarray  # position in doc_ids, ascending within a row
+    tf: np.ndarray  # float64 term frequency
+    doc_ids: list[str]  # corpus order
+    doc_length: np.ndarray  # tokens per document
+    norm: np.ndarray  # k1 * (1 - b + b * length / avg_doc_length)
+    rank: np.ndarray  # position -> rank of its doc_id in string order
     doc_count: int
     avg_doc_length: float
     k1: float = 1.2
     b: float = 0.75
-    documents: dict[str, Document] = field(default_factory=dict)
-    # Built by retrieve() on first use, so an index that only serves as a
-    # document map costs nothing more; positions follow doc_lengths order.
-    _scoring: _ScoringArrays | None = field(default=None, init=False,
-                                            repr=False, compare=False)
-
-
-class _ScoringArrays:
-    """Per-document BM25 length norms and doc_id ranks, and the (position,
-    tf) arrays of each term a query has used so far."""
-
-    def __init__(self, index: InvertedIndex):
-        self.doc_ids = list(index.doc_lengths)
-        self.position = {d: i for i, d in enumerate(self.doc_ids)}
-        n = len(self.doc_ids)
-        dl = np.fromiter(index.doc_lengths.values(), dtype=np.float64, count=n)
-        # the operations and their order of the scalar formula
-        # k1 * (1 - b + b * dl / avg), so scores stay bit-identical
-        self.norm = index.k1 * ((1 - index.b) + index.b * dl / index.avg_doc_length)
-        self.rank = np.empty(n, dtype=np.intp)  # position -> rank of its doc_id
-        self.rank[sorted(range(n), key=self.doc_ids.__getitem__)] = np.arange(n)
-        self.terms: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-
-    def term(self, postings: list[tuple[str, int]], term: str) -> tuple[np.ndarray, np.ndarray]:
-        arrays = self.terms.get(term)
-        if arrays is None:
-            pos = np.fromiter((self.position[d] for d, _ in postings),
-                              dtype=np.intp, count=len(postings))
-            tf = np.fromiter((f for _, f in postings), dtype=np.float64,
-                             count=len(postings))
-            arrays = self.terms[term] = (pos, tf)
-        return arrays
 
 
 def load_corpus(path: str) -> list[Document]:
@@ -74,38 +54,51 @@ def load_corpus(path: str) -> list[Document]:
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
+            obj, end = _raw_decode(line)
+            if end != len(line):
+                raise json.JSONDecodeError("Extra data", line, end)
             docs.append(Document(obj["doc_id"], obj.get("title", ""), obj["text"]))
     return docs
 
 
 def build_index(documents, k1: float = 1.2, b: float = 0.75) -> InvertedIndex:
     """Build an inverted index over tokenize(title + " " + text)."""
-    postings: dict[str, list[tuple[str, int]]] = {}
-    doc_lengths: dict[str, int] = {}
-    doc_map: dict[str, Document] = {}
+    terms = defaultdict(itertools.count().__next__)
+    doc_ids: list[str] = []
+    seen: set[str] = set()
+    lengths: list[int] = []
+    ids = array("q")  # term id of every token, document after document
     for doc in documents:
-        if doc.doc_id in doc_lengths:
+        if doc.doc_id in seen:
             raise ValueError(f"duplicate doc_id {doc.doc_id}")
         tokens = tokenize(doc.title + " " + doc.text)
         if not tokens:
             raise ValueError(f"document {doc.doc_id} tokenizes to empty")
-        doc_lengths[doc.doc_id] = len(tokens)
-        doc_map[doc.doc_id] = doc
-        tf: dict[str, int] = {}
-        for t in tokens:
-            tf[t] = tf.get(t, 0) + 1
-        for t, f in tf.items():
-            postings.setdefault(t, []).append((doc.doc_id, f))
-    if not doc_lengths:
+        seen.add(doc.doc_id)
+        doc_ids.append(doc.doc_id)
+        lengths.append(len(tokens))
+        ids.extend(map(terms.__getitem__, tokens))
+    if not doc_ids:
         raise ValueError("empty corpus")
-    n = len(doc_lengths)
-    avg = sum(doc_lengths.values()) / n
-    return InvertedIndex(postings, doc_lengths, n, avg, k1=k1, b=b, documents=doc_map)
+    n = len(doc_ids)
+    # one key per (term, document) pair, sorted term-major
+    keys, tf = np.unique(np.frombuffer(ids, dtype=np.int64) * n
+                         + np.repeat(np.arange(n), lengths), return_counts=True)
+    indptr = np.zeros(len(terms) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(keys // n, minlength=len(terms)), out=indptr[1:])
+    avg = sum(lengths) / n
+    dl = np.array(lengths, dtype=np.float64)
+    # the operations and their order of the scalar formula
+    # k1 * (1 - b + b * dl / avg), so scores stay bit-identical
+    norm = k1 * ((1 - b) + b * dl / avg)
+    rank = np.empty(n, dtype=np.intp)
+    rank[sorted(range(n), key=doc_ids.__getitem__)] = np.arange(n)
+    return InvertedIndex(dict(terms), indptr, keys % n, tf.astype(np.float64),
+                         doc_ids, np.array(lengths), norm, rank, n, avg, k1=k1, b=b)
 
 
-def _idf(index: InvertedIndex, term: str) -> float:
-    df = len(index.postings.get(term, ()))
+def _idf(index: InvertedIndex, t: int) -> float:
+    df = int(index.indptr[t + 1] - index.indptr[t])
     # Lucene-style floor at log(1): strictly positive for any matching term
     return math.log1p((index.doc_count - df + 0.5) / (df + 0.5))
 
@@ -121,18 +114,16 @@ def retrieve(index: InvertedIndex, query: str, n: int) -> list[tuple[str, float]
     q_tokens = tokenize(query)
     if not q_tokens:
         raise ValueError("empty query")
-    if index._scoring is None:
-        index._scoring = _ScoringArrays(index)
-    arrays = index._scoring
     scores = np.zeros(index.doc_count, dtype=np.float64)
     matched = np.zeros(index.doc_count, dtype=bool)
     for term in q_tokens:
-        if term not in index.postings:
+        t = index.terms.get(term)
+        if t is None:
             continue
-        idf = _idf(index, term)
-        pos, tf = arrays.term(index.postings[term], term)
-        scores[pos] += idf * tf * (index.k1 + 1) / (tf + arrays.norm[pos])
+        lo, hi = index.indptr[t], index.indptr[t + 1]
+        pos, tf = index.doc_pos[lo:hi], index.tf[lo:hi]
+        scores[pos] += _idf(index, t) * tf * (index.k1 + 1) / (tf + index.norm[pos])
         matched[pos] = True
     hits = np.flatnonzero(matched)
-    top = hits[np.lexsort((arrays.rank[hits], -scores[hits]))[:n]]
-    return [(arrays.doc_ids[i], float(scores[i])) for i in top]
+    top = hits[np.lexsort((index.rank[hits], -scores[hits]))[:n]]
+    return [(index.doc_ids[i], float(scores[i])) for i in top]

@@ -21,7 +21,7 @@ from functools import cached_property
 
 from . import evaluation, preferences, silver
 from .aspects import HttpLlmClient, SubAspectList, ExplorerPrompt, predict_aspects
-from .corpus import InvertedIndex, build_index, load_corpus, retrieve
+from .corpus import Document, InvertedIndex, build_index, load_corpus, retrieve
 from .pool import CandidatePool, merge_pool, pool_from_dict, pool_to_dict, retrieve_per_aspect
 from .ranker import RankerConfig, RemoteBackend, rank, reference_backend
 
@@ -163,9 +163,10 @@ def _input_digest(*paths: str) -> str:
 
 
 class RunInputs:
-    """The inputs of one run: the dataset records, the BM25 index built from
-    one corpus parse when a stage first asks for it, and the header every
-    artifact carries (config fingerprint and input-file digest).
+    """The inputs of one run: the dataset records, the document map from one
+    corpus parse and the BM25 index built from it, each made when a stage
+    first asks for it, and the header every artifact carries (config
+    fingerprint and input-file digest).
     """
 
     def __init__(self, config: RunConfig, dataset_path: str, corpus_path: str):
@@ -176,8 +177,17 @@ class RunInputs:
                        "input_digest": _input_digest(dataset_path, corpus_path)}
 
     @cached_property
+    def documents(self) -> dict[str, Document]:
+        documents: dict[str, Document] = {}
+        for doc in load_corpus(self.paths[1]):
+            if doc.doc_id in documents:
+                raise ValueError(f"duplicate doc_id {doc.doc_id}")
+            documents[doc.doc_id] = doc
+        return documents
+
+    @cached_property
     def index(self) -> InvertedIndex:
-        return build_index(load_corpus(self.paths[1]), k1=self.config.bm25_k1,
+        return build_index(self.documents.values(), k1=self.config.bm25_k1,
                            b=self.config.bm25_b)
 
 
@@ -235,7 +245,7 @@ def _stage_index(config, inputs, out_dir):
         "avg_doc_length": index.avg_doc_length,
         "k1": index.k1,
         "b": index.b,
-        "vocabulary_size": len(index.postings),
+        "vocabulary_size": len(index.terms),
     }
     with open(_artifact_path(out_dir, "index"), "w", encoding="utf-8") as fh:
         fh.write(_dump(meta) + "\n")
@@ -294,7 +304,7 @@ def _stage_pool(config, inputs, out_dir):
     rows = []
     for rec in inputs.records:
         pool = merge_pool(rec.question, aspects[rec.id], lists[rec.id],
-                          config.pool_capacity, inputs.index.documents)
+                          config.pool_capacity, inputs.documents)
         rows.append(pool_to_dict(rec.id, pool))
     _write_rows(_artifact_path(out_dir, "pool"), inputs, rows)
     return {"count": len(rows)}
@@ -310,7 +320,7 @@ def _load_pools(out_dir: str, inputs: RunInputs) -> dict[str, CandidatePool]:
         pools[rec.id] = pool_from_dict(row, rec.question,
                                        aspects[rec.id].source,
                                        inputs.config.pool_capacity,
-                                       inputs.index.documents)
+                                       inputs.documents)
     return pools
 
 
@@ -335,7 +345,7 @@ def _make_backend(config: RunConfig, pool: CandidatePool):
     if config.scorer_endpoint:
         return RemoteBackend(config.scorer_endpoint, pool.query, pool.aspects,
                              [c.doc.text for c in pool.candidates],
-                             timeout=config.timeout)
+                             timeout=config.timeout, retries=config.retries)
     return reference_backend(pool.query, pool.aspects, pool.candidates)
 
 
@@ -454,7 +464,7 @@ def _stage_eval(config, inputs, out_dir):
         per_query[rec.id] = {}
         for name, doc_ids in systems.items():
             texts = [by_doc_id[d].doc.text if d in by_doc_id
-                     else index.documents[d].text for d in doc_ids]
+                     else inputs.documents[d].text for d in doc_ids]
             response = generator.generate(rec.question, texts)
             metrics = evaluation.evaluate_response(response, rec.answer,
                                                    list(rec.sub_answers))
@@ -464,22 +474,23 @@ def _stage_eval(config, inputs, out_dir):
                                                   list(rec.sub_answers))
             per_query[rec.id][name] = metrics
 
-    means: dict[str, dict[str, float]] = {}
-    if per_query:
-        system_names = sorted(next(iter(per_query.values())))
-        for name in system_names:
-            keys = sorted(next(iter(per_query.values()))[name])
-            means[name] = {
-                key: sum(q[name].get(key, 0.0) for q in per_query.values())
-                / len(per_query)
-                for key in keys
-            }
+    # each mean is over the queries that define the metric (ncom needs a
+    # list as long as the silver one), never imputing a missing value
+    defined: dict[str, dict[str, list[float]]] = {}
+    for systems_metrics in per_query.values():
+        for name, metrics in systems_metrics.items():
+            for key, value in metrics.items():
+                defined.setdefault(name, {}).setdefault(key, []).append(value)
+    means = {name: {key: sum(values) / len(values) for key, values in by_key.items()}
+             for name, by_key in defined.items()}
     report = {
         **inputs.header,
         "num_queries": len(per_query),
         "skipped": sorted(skipped),
         "per_query": per_query,
         "means": means,
+        "mean_counts": {name: {key: len(values) for key, values in by_key.items()}
+                        for name, by_key in defined.items()},
     }
     with open(_artifact_path(out_dir, "eval"), "w", encoding="utf-8") as fh:
         fh.write(_dump(report) + "\n")

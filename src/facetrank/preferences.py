@@ -12,6 +12,7 @@ import math
 import re
 from dataclasses import dataclass, replace
 
+from .aspects import post_json
 from .pool import CandidatePool
 from .ranker import RankerConfig, RankingList, rank
 from .text_metrics import com_rouge, phi, tokenize, unigram_f1
@@ -99,22 +100,9 @@ class HttpGenerator:
     retries: int = 1
 
     def generate(self, query: str, documents: list[str]) -> str:
-        import requests
-
-        last_err = None
-        for _ in range(self.retries + 1):
-            try:
-                resp = requests.post(
-                    self.endpoint,
-                    json={"query": query, "documents": documents,
-                          "max_tokens": self.max_tokens},
-                    timeout=self.timeout,
-                )
-                resp.raise_for_status()
-                return resp.json()["text"]
-            except Exception as err:  # noqa: BLE001
-                last_err = err
-        raise RuntimeError(f"generator failed: {last_err}") from last_err
+        payload = {"query": query, "documents": documents,
+                   "max_tokens": self.max_tokens}
+        return post_json(self.endpoint, payload, self.timeout, self.retries)["text"]
 
 
 def generate_rewarded_lists(pool: CandidatePool, config: RankerConfig, backend,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aspects import SubAspectList
+from .aspects import SubAspectList, post_json
 from .pool import Candidate, CandidatePool
 from .text_metrics import phi_matrix, tokenize
 
@@ -239,22 +239,12 @@ class RemoteBackend:
     aspects: SubAspectList
     candidate_texts: list[str]
     timeout: float = 30.0
+    retries: int = 1
 
     def step_scores(self, selected) -> np.ndarray:
-        import requests
-
-        resp = requests.post(
-            self.endpoint,
-            json={
-                "query": self.query,
-                "aspects": list(self.aspects.aspects),
-                "candidates": self.candidate_texts,
-                "selected": list(selected),
-            },
-            timeout=self.timeout,
-        )
-        resp.raise_for_status()
-        scores = resp.json()["scores"]
+        payload = {"query": self.query, "aspects": list(self.aspects.aspects),
+                   "candidates": self.candidate_texts, "selected": list(selected)}
+        scores = post_json(self.endpoint, payload, self.timeout, self.retries)["scores"]
         if len(scores) != len(self.candidate_texts):
             raise ValueError("remote backend returned wrong score count")
         return np.asarray(scores, dtype=float)

@@ -1,9 +1,11 @@
+import json
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from facetrank.corpus import Document, _idf, build_index, retrieve
+from facetrank.corpus import Document, build_index, load_corpus, retrieve
 from facetrank.text_metrics import tokenize
 
 
@@ -14,7 +16,7 @@ def docs(*texts):
 def test_build_index_counts():
     index = build_index(docs("a b", "b c", "d e"))
     assert index.doc_count == 3
-    assert set(index.postings) == {"a", "b", "c", "d", "e"}
+    assert set(index.terms) == {"a", "b", "c", "d", "e"}
 
 
 def test_build_index_duplicate_id():
@@ -36,13 +38,33 @@ def test_avg_doc_length_single_doc():
 def test_avg_doc_length_is_mean():
     index = build_index(docs("a b", "a b c d"))
     assert math.isclose(index.avg_doc_length,
-                        sum(index.doc_lengths.values()) / index.doc_count,
+                        sum(index.doc_length) / index.doc_count,
                         abs_tol=1e-9)
 
 
 def test_title_is_indexed():
     index = build_index([Document("d0", "tiger", "stripes")])
-    assert "tiger" in index.postings
+    assert "tiger" in index.terms
+
+
+def test_load_corpus_reads_lines(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"doc_id": "d0", "title": "t", "text": "x"}\n\n  \n'
+                    '{"doc_id": "d1", "text": "y"}\n')
+    assert load_corpus(str(path)) == [Document("d0", "t", "x"), Document("d1", "", "y")]
+
+
+@pytest.mark.parametrize("line,error", [
+    ('{"doc_id":"d","text":"x"} junk', json.JSONDecodeError),
+    ('{"doc_id":"d","text":"x"}{}', json.JSONDecodeError),
+    ('{"doc_id":"d"', json.JSONDecodeError),
+    ('{"doc_id":"d","title":"t"}', KeyError),
+])
+def test_load_corpus_rejects_bad_lines(tmp_path, line, error):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"doc_id": "ok", "text": "fine"}\n' + line + "\n")
+    with pytest.raises(error):
+        load_corpus(str(path))
 
 
 def test_unique_term_ranks_its_doc_first():
@@ -119,18 +141,34 @@ def test_retrieve_matches_fullscan_oracle(texts, query_tokens):
         assert s1 == pytest.approx(s2, abs=1e-9)
 
 
-def dict_retrieve(index, query, n):
-    """The scalar BM25 loop retrieve() replaced: a score dict per query,
-    sorted by (-score, doc_id)."""
+def dict_build_index(documents):
+    """The dict-of-postings index build_index replaced: term -> [(doc_id, tf)]
+    in corpus order, plus doc_id -> length."""
+    postings, doc_lengths = {}, {}
+    for doc in documents:
+        tokens = tokenize(doc.title + " " + doc.text)
+        doc_lengths[doc.doc_id] = len(tokens)
+        for term, tf in Counter(tokens).items():
+            postings.setdefault(term, []).append((doc.doc_id, tf))
+    return postings, doc_lengths
+
+
+def dict_retrieve(oracle, query, n, k1, b):
+    """The scalar BM25 loop retrieve() replaced, over dict_build_index's
+    postings: a score dict per query, sorted by (-score, doc_id)."""
+    postings, doc_lengths = oracle
+    count = len(doc_lengths)
+    avg = sum(doc_lengths.values()) / count
     scores = {}
     for term in tokenize(query):
-        if term not in index.postings:
+        if term not in postings:
             continue
-        idf = _idf(index, term)
-        for doc_id, tf in index.postings[term]:
-            dl = index.doc_lengths[doc_id]
-            denom = tf + index.k1 * (1 - index.b + index.b * dl / index.avg_doc_length)
-            scores[doc_id] = scores.get(doc_id, 0.0) + idf * tf * (index.k1 + 1) / denom
+        df = len(postings[term])
+        idf = math.log1p((count - df + 0.5) / (df + 0.5))
+        for doc_id, tf in postings[term]:
+            dl = doc_lengths[doc_id]
+            denom = tf + k1 * (1 - b + b * dl / avg)
+            scores[doc_id] = scores.get(doc_id, 0.0) + idf * tf * (k1 + 1) / denom
     ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
     return ranked[:n]
 
@@ -152,16 +190,20 @@ def index_and_queries(draw):
         st.lists(st.sampled_from("abcdxy"), min_size=1, max_size=5).map(" ".join),
         min_size=1, max_size=4))
     n = draw(st.integers(1, 30))
-    return build_index(documents, k1=k1, b=b), queries, n
+    return build_index(documents, k1=k1, b=b), dict_build_index(documents), queries, n
 
 
 @settings(max_examples=300, deadline=None)
 @given(index_and_queries())
 def test_retrieve_equals_dict_oracle(case):
-    index, queries, n = case
-    # several queries on one index also exercise the per-term arrays it keeps
+    index, oracle, queries, n = case
+    postings, _ = oracle
+    assert set(index.terms) == set(postings)
+    for term, t in index.terms.items():
+        assert index.indptr[t + 1] - index.indptr[t] == len(postings[term])
     for query in queries:
-        assert retrieve(index, query, n) == dict_retrieve(index, query, n)
+        assert retrieve(index, query, n) == dict_retrieve(oracle, query, n,
+                                                          index.k1, index.b)
 
 
 def test_retrieve_breaks_ties_by_doc_id_string():

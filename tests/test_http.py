@@ -1,0 +1,130 @@
+"""Fault injection for the HTTP clients against a local server on 127.0.0.1.
+
+Each test scripts the server's replies, one per request, and checks what
+the client returns or raises and how many attempts it made.
+"""
+
+import json
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from time import sleep
+
+import pytest
+
+from facetrank.aspects import HttpLlmClient, SubAspectList, post_json
+from facetrank.pipeline import RunConfig, _make_backend
+from facetrank.preferences import HttpGenerator
+from facetrank.ranker import RemoteBackend
+from conftest import make_pool
+
+
+def reply(obj=None, status=200, delay=0.0, body=None):
+    return delay, status, json.dumps(obj).encode() if body is None else body
+
+
+class _Server(ThreadingHTTPServer):
+    daemon_threads = False  # server_close() joins handlers still sleeping
+
+    def handle_error(self, request, client_address):
+        pass  # a client that timed out has closed the connection
+
+
+@pytest.fixture
+def server(monkeypatch):
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    script, received = [], []
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            received.append(json.loads(self.rfile.read(int(self.headers["Content-Length"]))))
+            delay, status, body = script.pop(0)
+            sleep(delay)
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    httpd = _Server(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=httpd.serve_forever, kwargs={"poll_interval": 0.02})
+    thread.start()
+    httpd.url = f"http://127.0.0.1:{httpd.server_address[1]}/"
+    httpd.script, httpd.received = script, received
+    try:
+        yield httpd
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+def _llm(url, retries):
+    return HttpLlmClient(url, timeout=5, retries=retries).complete("p", 7)
+
+
+def _generator(url, retries):
+    return HttpGenerator(url, timeout=5, retries=retries).generate("q", ["d"])
+
+
+def _backend(url, retries):
+    backend = RemoteBackend(url, "q", SubAspectList(("a",)), ["x", "y"], timeout=5,
+                            retries=retries)
+    return list(backend.step_scores([1]))
+
+
+CLIENTS = {"llm": (_llm, "out"), "generator": (_generator, "out"),
+           "backend": (_backend, [0.5, 1.5])}
+
+
+@pytest.mark.parametrize("client", sorted(CLIENTS))
+def test_5xx_then_success(server, client):
+    call, expected = CLIENTS[client]
+    payload = {"text": "out", "scores": [0.5, 1.5]}
+    server.script += [reply({}, status=503), reply(payload)]
+    assert call(server.url, retries=1) == expected
+    assert len(server.received) == 2
+    assert server.received[0] == server.received[1]
+
+
+@pytest.mark.parametrize("client", sorted(CLIENTS))
+def test_5xx_on_every_attempt(server, client):
+    call, _ = CLIENTS[client]
+    server.script += [reply({}, status=500)] * 3
+    with pytest.raises(RuntimeError, match="after 3 attempts"):
+        call(server.url, retries=2)
+    assert len(server.received) == 3
+
+
+def test_timeout_is_retried(server):
+    server.script += [reply({"ok": 1}, delay=0.5)] * 2
+    with pytest.raises(RuntimeError, match="after 2 attempts"):
+        post_json(server.url, {"q": 1}, timeout=0.1, retries=1)
+    assert len(server.received) == 2
+
+
+def test_bad_json_is_retried(server):
+    server.script += [reply(body=b"not json"), reply({"ok": 1})]
+    assert post_json(server.url, {"q": 1}, timeout=5, retries=1) == {"ok": 1}
+    server.script += [reply(body=b"{truncated")] * 2
+    with pytest.raises(RuntimeError, match="after 2 attempts"):
+        post_json(server.url, {"q": 1}, timeout=5, retries=1)
+    assert len(server.received) == 4
+
+
+def test_wrong_score_count_is_not_retried(server):
+    server.script += [reply({"scores": [0.5]})]
+    backend = RemoteBackend(server.url, "q", SubAspectList(("a",)), ["x", "y"],
+                            timeout=5, retries=3)
+    with pytest.raises(ValueError, match="wrong score count"):
+        backend.step_scores([])
+    assert len(server.received) == 1
+
+
+def test_remote_backend_takes_configured_retries():
+    config = RunConfig(scorer_endpoint="http://127.0.0.1:9/", retries=4, timeout=2.0)
+    backend = _make_backend(config, make_pool(["x", "y"]))
+    assert (backend.retries, backend.timeout) == (4, 2.0)

@@ -247,9 +247,9 @@ def test_reruns_are_byte_identical(tmp_path, synthetic_paths, small_config):
     _assert_same_files(out_a, out_b)
 
 
-def test_pipeline_parses_inputs_once(tmp_path, synthetic_paths, small_config,
-                                    monkeypatch):
-    calls = {"load_dataset": 0, "load_corpus": 0, "build_index": 0}
+def _count_calls(monkeypatch, names):
+    """Count the calls pipeline makes to each named function from now on."""
+    calls = dict.fromkeys(names, 0)
 
     def counted(name):
         original = getattr(pipeline, name)
@@ -261,8 +261,75 @@ def test_pipeline_parses_inputs_once(tmp_path, synthetic_paths, small_config,
 
     for name in calls:
         monkeypatch.setattr(pipeline, name, counted(name))
+    return calls
+
+
+def test_pipeline_parses_inputs_once(tmp_path, synthetic_paths, small_config,
+                                    monkeypatch):
+    calls = _count_calls(monkeypatch, ("load_dataset", "load_corpus", "build_index"))
     run_pipeline(small_config, *synthetic_paths, str(tmp_path))
     assert calls == {"load_dataset": 1, "load_corpus": 1, "build_index": 1}
+
+
+def test_stage_alone_reads_documents_without_building_index(tmp_path, synthetic_paths,
+                                                            small_config, monkeypatch):
+    dataset, corpus = synthetic_paths
+    out = str(tmp_path)
+    for stage in ("index", "aspects", "retrieve"):
+        run_stage(stage, small_config, dataset, corpus, out)
+    calls = _count_calls(monkeypatch, ("load_corpus", "build_index"))
+    run_stage("pool", small_config, dataset, corpus, out)
+    assert calls == {"load_corpus": 1, "build_index": 0}
+
+
+def test_stage_alone_rejects_duplicate_doc_id(tmp_path, synthetic_paths, small_config):
+    dataset, corpus = synthetic_paths
+    out = str(tmp_path / "run")
+    for stage in ("index", "aspects", "retrieve"):
+        run_stage(stage, small_config, dataset, corpus, out)
+    with open(corpus, encoding="utf-8") as fh:
+        lines = [line for line in fh if line.strip()]
+    duplicated = str(tmp_path / "corpus.jsonl")
+    with open(duplicated, "w", encoding="utf-8") as fh:
+        fh.writelines(lines + lines[:1])
+    # the upstream artifacts, re-headed for the corpus with the duplicate
+    header = json.dumps(RunInputs(small_config, dataset, duplicated).header)
+    for name in ("aspects.jsonl", "retrieve.jsonl"):
+        path = os.path.join(out, name)
+        with open(path, encoding="utf-8") as fh:
+            rows = fh.readlines()[1:]
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines([header + "\n"] + rows)
+    with pytest.raises(ValueError, match="duplicate doc_id"):
+        run_stage("pool", small_config, dataset, duplicated, out)
+
+
+def test_eval_means_skip_undefined_metrics(tmp_path, synthetic_paths, small_config):
+    dataset, corpus = synthetic_paths
+    with open(dataset, encoding="utf-8") as fh:
+        two = str(tmp_path / "dataset.jsonl")
+        with open(two, "w", encoding="utf-8") as out_fh:
+            out_fh.writelines([fh.readline(), fh.readline()])
+    out = str(tmp_path / "run")
+    for stage in STAGES[:-1]:
+        run_stage(stage, small_config, two, corpus, out)
+    # one retrieved document for the second query: its rrf list is shorter
+    # than k, so ncom is undefined for it
+    path = os.path.join(out, "retrieve.jsonl")
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.readlines()
+    row = json.loads(lines[2])
+    row["lists"] = [row["lists"][0][:1]]
+    lines[2] = json.dumps(row) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
+    report = run_stage("eval", small_config, two, corpus, out)["report"]
+    first, second = report["per_query"].values()
+    assert "ncom" in first["rrf"] and "ncom" not in second["rrf"]
+    assert report["means"]["rrf"]["ncom"] == first["rrf"]["ncom"]
+    assert report["mean_counts"]["rrf"]["ncom"] == 1
+    assert report["mean_counts"]["rrf"]["f1"] == 2
+    assert report["mean_counts"]["ranked"]["ncom"] == 2
 
 
 def test_shared_and_fresh_inputs_write_identical_artifacts(tmp_path, synthetic_paths,
