@@ -8,7 +8,7 @@ from .pool import Candidate, CandidatePool, merge_pool, retrieve_per_aspect
 from .preferences import (build_us3_pairs, dpo_loss_value,
                           generate_rewarded_lists, oracle_generate, reward)
 from .ranker import (RankerConfig, RankingList, rank, reference_backend,
-                     sequence_log_prob, step_distribution)
+                     sequence_log_prob)
 from .silver import SilverTarget, aspect_weights, build_silver_list, coverage_gain
 from .text_metrics import com_rouge, phi, rouge, tokenize, unigram_f1
 
@@ -21,6 +21,5 @@ __all__ = [
     "ncom", "oracle_generate", "parse_aspects", "phi", "predict_aspects",
     "rank", "ranking_metrics", "reference_backend", "retrieve",
     "retrieve_per_aspect", "reward", "rouge", "rrf_fuse", "run_pipeline",
-    "run_stage", "sequence_log_prob", "step_distribution", "tokenize",
-    "unigram_f1",
+    "run_stage", "sequence_log_prob", "tokenize", "unigram_f1",
 ]

@@ -88,15 +88,6 @@ def predict_aspects(query: str, prompt: ExplorerPrompt, client, max_tokens: int 
     return SubAspectList((query,), source="fallback")
 
 
-def explorer_sft_loss(token_logprobs: list[float]) -> float:
-    """Next-token-prediction loss: negated sum of per-token log-probs."""
-    if not token_logprobs:
-        raise ValueError("empty log-probability list")
-    if any(lp > 0 for lp in token_logprobs):
-        raise ValueError("invalid log-probability")
-    return -sum(token_logprobs)
-
-
 def post_json(endpoint: str, payload: dict, timeout: float, retries: int) -> dict:
     """POST a JSON payload and return the decoded JSON reply.
 

@@ -81,11 +81,23 @@ def build_index(documents, k1: float = 1.2, b: float = 0.75) -> InvertedIndex:
     if not doc_ids:
         raise ValueError("empty corpus")
     n = len(doc_ids)
-    # one key per (term, document) pair, sorted term-major
-    keys, tf = np.unique(np.frombuffer(ids, dtype=np.int64) * n
-                         + np.repeat(np.arange(n), lengths), return_counts=True)
+    # one key per token, term-major: a run of equal keys is one (term,
+    # document) pair and the run's length its term frequency. The keys are
+    # sorted in place and each temporary is dropped once used, to keep the
+    # build's transient memory low.
+    keys = np.frombuffer(ids, dtype=np.int64) * n
+    del ids
+    keys += np.repeat(np.arange(n), lengths)
+    keys.sort()
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    tf = np.diff(starts, append=len(keys)).astype(np.float64)
+    keys = keys[starts]
+    del starts
+    term, doc_pos = np.divmod(keys, n)
+    del keys
     indptr = np.zeros(len(terms) + 1, dtype=np.intp)
-    np.cumsum(np.bincount(keys // n, minlength=len(terms)), out=indptr[1:])
+    np.cumsum(np.bincount(term, minlength=len(terms)), out=indptr[1:])
+    del term
     avg = sum(lengths) / n
     dl = np.array(lengths, dtype=np.float64)
     # the operations and their order of the scalar formula
@@ -93,7 +105,7 @@ def build_index(documents, k1: float = 1.2, b: float = 0.75) -> InvertedIndex:
     norm = k1 * ((1 - b) + b * dl / avg)
     rank = np.empty(n, dtype=np.intp)
     rank[sorted(range(n), key=doc_ids.__getitem__)] = np.arange(n)
-    return InvertedIndex(dict(terms), indptr, keys % n, tf.astype(np.float64),
+    return InvertedIndex(dict(terms), indptr, doc_pos, tf,
                          doc_ids, np.array(lengths), norm, rank, n, avg, k1=k1, b=b)
 
 

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, replace
 
 from .aspects import post_json
 from .pool import CandidatePool
 from .ranker import RankerConfig, RankingList, rank
-from .text_metrics import com_rouge, phi, tokenize, unigram_f1
+from .text_metrics import (clipped_overlap, com_rouge_profiles, f1_of, phi_profiles,
+                           profile, tokenize)
 
 
 @dataclass
@@ -39,7 +41,9 @@ def reward(response: str, answer: str, sub_answers: list[str]) -> float:
         raise ValueError("answer must be non-empty")
     if not response:
         return 0.0
-    return phi(response, answer) + com_rouge(response, sub_answers)
+    resp = profile(response)
+    return phi_profiles(resp, profile(answer)) + com_rouge_profiles(
+        resp, [profile(a) for a in sub_answers])
 
 
 _SENTENCE_RE = re.compile(r"[.!?]+")
@@ -55,29 +59,31 @@ def oracle_generate(query: str, ranked_docs: list[str], budget: int) -> str:
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    sentences = []  # (rank, position, text, tokens)
-    for rank_idx, doc in enumerate(ranked_docs):
-        for pos, raw in enumerate(_SENTENCE_RE.split(doc)):
+    sentences = []  # (text, token counts, token count), in rank then position order
+    for doc in ranked_docs:
+        for raw in _SENTENCE_RE.split(doc):
             toks = tokenize(raw)
             if toks:
-                sentences.append((rank_idx, pos, raw.strip(), toks))
+                sentences.append((raw.strip(), Counter(toks), len(toks)))
     if not sentences:
         return ""
     query_tokens = tokenize(query)
     picked: list[int] = []
+    remaining = list(range(len(sentences)))
     covered: set[str] = set()
     for _ in range(min(budget, len(sentences))):
         target = [t for t in query_tokens if t not in covered]
+        target_counts = Counter(target)
         best, best_score = None, -1.0
-        for idx, (_r, _p, _text, toks) in enumerate(sentences):
-            if idx in picked:
-                continue
-            score = unigram_f1(toks, target).f1 if target else 0.0
+        for idx in remaining:
+            _text, counts, n = sentences[idx]
+            score = f1_of(clipped_overlap(counts, target_counts), n, len(target))
             if score > best_score:
                 best, best_score = idx, score
         picked.append(best)
-        covered.update(sentences[best][3])
-    return ". ".join(sentences[i][2] for i in picked) + "."
+        remaining.remove(best)
+        covered.update(sentences[best][1])
+    return ". ".join(sentences[i][0] for i in picked) + "."
 
 
 class OracleGenerator:

@@ -1,9 +1,9 @@
 """Generative list-wise ranking: the step-wise decode contract.
 
 The trained encoder-decoder is one possible backend; this module pins the
-behavior that is backend-independent: docid-token input formatting, the
-masked temperature softmax over reused candidate representations, greedy
-and seeded sampled decoding, and sequence log-probabilities.
+behavior that is backend-independent: the masked temperature softmax over
+reused candidate representations, greedy and seeded sampled decoding, and
+sequence log-probabilities.
 
 A scoring backend supplies, for each decode step, the raw logits h.e_i
 over the pool given the already-selected prefix:
@@ -13,15 +13,18 @@ over the pool given the already-selected prefix:
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
 from .aspects import SubAspectList, post_json
 from .pool import Candidate, CandidatePool
-from .text_metrics import phi_matrix, tokenize
+from .silver import weights_from_rows
+from .text_metrics import Profile, phi_profiles, tokenize
 
 
 @dataclass(frozen=True)
@@ -39,26 +42,10 @@ class RankerConfig:
 
 
 @dataclass
-class CandidateEncoding:
-    vectors: np.ndarray  # shape (pool size, dim)
-
-
-@dataclass
 class RankingList:
     docids: list[int]
     step_logprobs: list[float]
     mode: str  # greedy | sampled
-
-
-def format_input(candidate: Candidate, query: str, aspects: SubAspectList) -> str:
-    """Docid-token input sequence for one candidate.
-
-    "[D{i}] {query} [Q] {aspect_1} [E] ... {aspect_n} [S] {doc text}",
-    listing exactly the aspects that retrieved this candidate.
-    """
-    names = [aspects.aspects[i] for i in candidate.aspect_set]
-    aspect_part = " [E] ".join(names)
-    return f"[D{candidate.pool_index}] {query} [Q] {aspect_part} [S] {candidate.doc.text}"
 
 
 def masked_softmax(scores: np.ndarray, tau: float, mask: set[int]) -> np.ndarray:
@@ -67,21 +54,13 @@ def masked_softmax(scores: np.ndarray, tau: float, mask: set[int]) -> np.ndarray
     if len(mask) >= m:
         raise ValueError("no candidates available")
     logits = np.asarray(scores, dtype=float) / tau
-    keep = np.array([i not in mask for i in range(m)])
+    keep = np.ones(m, dtype=bool)
+    keep[list(mask)] = False
     shifted = logits[keep] - logits[keep].max()
     expd = np.exp(shifted)
     probs = np.zeros(m)
     probs[keep] = expd / expd.sum()
     return probs
-
-
-def step_distribution(encodings: CandidateEncoding, decoder_state: np.ndarray,
-                      tau: float, mask: set[int]) -> np.ndarray:
-    """Probability vector over the pool for one decode step."""
-    h = np.asarray(decoder_state, dtype=float)
-    if h.shape[0] != encodings.vectors.shape[1]:
-        raise ValueError("decoder state dimension mismatch")
-    return masked_softmax(encodings.vectors @ h, tau, mask)
 
 
 def _step_probs(backend, config: RankerConfig, selected: list[int], mask: set[int]) -> np.ndarray:
@@ -181,44 +160,49 @@ class ReferenceBackend:
             raise ValueError("aspects must be non-empty")
         self.query = query
         self.aspects = aspects
-        self.texts = [c.doc.text for c in candidates]
-        vocab: dict[str, int] = {}
-        for text in [query, *aspects.aspects, *self.texts]:
-            for tok in tokenize(text):
-                vocab.setdefault(tok, len(vocab))
-        self.vocab = vocab
-        self.encodings = CandidateEncoding(
-            np.stack([self._unit_tf(t) for t in self.texts])
-            if self.texts else np.zeros((0, max(len(vocab), 1)))
-        )
-        self.aspect_vectors = [
-            self._unit_tf(f"{query} {a}") for a in aspects.aspects
-        ]
+        # term ids in order of first appearance over query, aspects and pool;
+        # phi reads only which tokens are equal, so it is scored on the ids
+        vocab = defaultdict(itertools.count().__next__)
+        query_ids = [vocab[t] for t in tokenize(query)]
+        aspect_ids = [[vocab[t] for t in tokenize(a)] for a in aspects.aspects]
+        self._doc_ids = [[vocab[t] for t in tokenize(c.doc.text)] for c in candidates]
+        dim = max(len(vocab), 1)
+        self.encodings = _unit_tf_rows(self._doc_ids, dim)
+        self.aspect_vectors = _unit_tf_rows([query_ids + ids for ids in aspect_ids], dim)
+        self._aspect_profiles = [Profile(ids) for ids in aspect_ids]
         self._coverage: dict[int, list[float]] = {}  # pool index -> phi row
 
-    def _unit_tf(self, text: str) -> np.ndarray:
-        v = np.zeros(max(len(self.vocab), 1))
-        for tok in tokenize(text):
-            if tok in self.vocab:
-                v[self.vocab[tok]] += 1.0
-        norm = np.linalg.norm(v)
-        return v / norm if norm > 0 else v
-
     def step_scores(self, selected) -> np.ndarray:
-        from .silver import weights_from_rows
-
         for i in selected:
             if i not in self._coverage:
-                self._coverage[i] = phi_matrix([self.texts[i]], self.aspects.aspects)[0]
+                doc = Profile(self._doc_ids[i])
+                self._coverage[i] = [phi_profiles(doc, a) for a in self._aspect_profiles]
         w = weights_from_rows([self._coverage[i] for i in selected],
                               len(self.aspects.aspects))
-        h = np.zeros(max(len(self.vocab), 1))
+        h = np.zeros(self.encodings.shape[1])
         for wj, vj in zip(w, self.aspect_vectors):
             h += wj * vj
         norm = np.linalg.norm(h)
         if norm > 0:
             h = h / norm
-        return self.encodings.vectors @ h
+        return self.encodings @ h
+
+
+def _unit_tf_rows(rows: list[list[int]], dim: int) -> np.ndarray:
+    """Unit-normalized term-frequency row per list of term ids; an empty list
+    gives a zero row.
+
+    The counts are whole numbers, so each row's sum of squares is exact in
+    any order and its norm equals np.linalg.norm of the row.
+    """
+    lengths = [len(r) for r in rows]
+    keys = np.repeat(np.arange(len(rows)) * dim, lengths)
+    keys += np.fromiter(itertools.chain.from_iterable(rows), dtype=np.intp,
+                        count=sum(lengths))
+    tf = np.bincount(keys, weights=np.ones(len(keys)), minlength=len(rows) * dim)
+    tf = tf.astype(np.float64, copy=False).reshape(len(rows), dim)  # int64 when empty
+    norm = np.sqrt(np.einsum("ij,ij->i", tf, tf))[:, None]
+    return np.divide(tf, norm, out=tf, where=norm > 0)
 
 
 def reference_backend(query: str, aspects: SubAspectList,

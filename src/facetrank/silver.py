@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .pool import CandidatePool
-from .ranker import RankerConfig, sequence_log_prob
 from .text_metrics import phi_matrix
 
 
@@ -78,9 +77,3 @@ def build_silver_list(pool: CandidatePool, sub_answers: list[str], k: int) -> Si
         trace.append(w)
         remaining.remove(best)
     return SilverTarget(docids, utilities, trace)
-
-
-def sft_loss_value(pool: CandidatePool, target: SilverTarget,
-                   config: RankerConfig, backend) -> float:
-    """NTP loss of the silver list under the ranker's step distributions."""
-    return -sequence_log_prob(pool, config, backend, target.docids)

@@ -33,42 +33,96 @@ def _f1(p: float, r: float) -> float:
     return 2.0 * p * r / (p + r) if p + r > 0 else 0.0
 
 
-def _clipped_overlap(cand: list, ref: list) -> OverlapScore:
-    if not cand or not ref:
+def _score(overlap: int, n_cand: int, n_ref: int) -> OverlapScore:
+    if n_cand < 1 or n_ref < 1:
         return ZERO_SCORE
-    overlap = sum((Counter(cand) & Counter(ref)).values())
-    p = overlap / len(cand)
-    r = overlap / len(ref)
+    p = overlap / n_cand
+    r = overlap / n_ref
     return OverlapScore(p, r, _f1(p, r))
 
 
-def _bigrams(tokens: list[str]) -> list[tuple[str, str]]:
-    return list(zip(tokens, tokens[1:]))
+def f1_of(overlap: int, n_cand: int, n_ref: int) -> float:
+    """F1 of overlap / n_cand and overlap / n_ref; 0.0 when a side is empty."""
+    if n_cand < 1 or n_ref < 1:
+        return 0.0
+    return _f1(overlap / n_cand, overlap / n_ref)
 
 
-def _lcs_length(a: list[str], b: list[str]) -> int:
-    """LCS length by the bit-parallel row update (Allison & Dix 1986; Hyyro 2004).
-
-    Bit i of v is 0 where the LCS of the prefix of b seen so far with
-    a[:i + 1] is longer than with a[:i]; masks are built over the shorter
-    sequence and the longer one is stepped over. A token absent from the
-    shorter sequence has u = 0 and leaves v unchanged, so it is skipped.
-    """
-    if not a or not b:
-        return 0
+def clipped_overlap(a: dict, b: dict) -> int:
+    """Sum over keys of min(a[key], b[key]), looking the smaller table up in the larger."""
     if len(a) > len(b):
         a, b = b, a
-    masks: dict[str, int] = {}
-    for i, x in enumerate(a):
-        masks[x] = masks.get(x, 0) | (1 << i)
-    full = (1 << len(a)) - 1
+    get = b.get
+    total = 0
+    for key, n in a.items():
+        m = get(key)
+        if m:
+            total += n if n < m else m
+    return total
+
+
+class Profile:
+    """One text's tokens, bigram counts and LCS match masks.
+
+    Bit i of masks[x] is set where tokens[i] == x: the match table (Peq) of
+    the bit-parallel LCS. A profile is built once per text and scored
+    against many others. The scores read only which tokens are equal, so
+    any hashable tokens will do, as long as both sides use the same ones.
+    """
+
+    __slots__ = ("tokens", "bigrams", "masks")
+
+    def __init__(self, tokens: list):
+        self.tokens = tokens
+        self.bigrams = Counter(zip(tokens, tokens[1:]))
+        masks: dict = {}
+        for i, x in enumerate(tokens):
+            masks[x] = masks.get(x, 0) | 1 << i
+        self.masks = masks
+
+
+def profile(text: str) -> Profile:
+    return Profile(tokenize(text))
+
+
+def lcs_length(a: Profile, b: Profile) -> int:
+    """LCS length by the bit-parallel row update (Allison & Dix 1986; Hyyro 2004).
+
+    Bit i of v is 0 where the LCS of the prefix of the shorter sequence seen
+    so far with the longer one's tokens[:i + 1] is longer than with
+    tokens[:i]. The masks of the longer sequence are read and the shorter one
+    is stepped over; a token absent from the longer sequence has u = 0 and
+    leaves v unchanged, so it is skipped.
+    """
+    if len(a.tokens) < len(b.tokens):
+        a, b = b, a
+    if not b.tokens:
+        return 0
+    masks = a.masks
+    full = (1 << len(a.tokens)) - 1
     v = full
-    for y in b:
+    for y in b.tokens:
         m = masks.get(y)
         if m:
             u = v & m
             v = ((v + u) | (v - u)) & full
-    return len(a) - v.bit_count()
+    return len(a.tokens) - v.bit_count()
+
+
+def rouge2_f1(cand: Profile, ref: Profile) -> float:
+    """Rouge-2 F1: clipped bigram overlap."""
+    return f1_of(clipped_overlap(cand.bigrams, ref.bigrams),
+                 len(cand.tokens) - 1, len(ref.tokens) - 1)
+
+
+def rougel_f1(cand: Profile, ref: Profile) -> float:
+    """Rouge-L F1: longest common subsequence."""
+    return f1_of(lcs_length(cand, ref), len(cand.tokens), len(ref.tokens))
+
+
+def phi_profiles(cand: Profile, ref: Profile) -> float:
+    """phi on two profiles: mean of Rouge-2 F1 and Rouge-L F1."""
+    return (rouge2_f1(cand, ref) + rougel_f1(cand, ref)) / 2.0
 
 
 def rouge(candidate: list[str], reference: list[str], variant: str) -> OverlapScore:
@@ -79,39 +133,46 @@ def rouge(candidate: list[str], reference: list[str], variant: str) -> OverlapSc
     An empty side yields an all-zero score.
     """
     if variant == "bigram":
-        return _clipped_overlap(_bigrams(candidate), _bigrams(reference))
+        return _score(clipped_overlap(Profile(candidate).bigrams, Profile(reference).bigrams),
+                      len(candidate) - 1, len(reference) - 1)
     if variant == "lcs":
-        if not candidate or not reference:
-            return ZERO_SCORE
-        lcs = _lcs_length(candidate, reference)
-        p = lcs / len(candidate)
-        r = lcs / len(reference)
-        return OverlapScore(p, r, _f1(p, r))
+        return _score(lcs_length(Profile(candidate), Profile(reference)),
+                      len(candidate), len(reference))
     raise ValueError(f"unknown rouge variant: {variant!r}")
 
 
 def unigram_f1(candidate: list[str], reference: list[str]) -> OverlapScore:
     """Clipped unigram overlap precision/recall/F1."""
-    return _clipped_overlap(candidate, reference)
+    return _score(clipped_overlap(Counter(candidate), Counter(reference)),
+                  len(candidate), len(reference))
 
 
 def phi(candidate_text: str, reference_text: str) -> float:
     """Coverage score: mean of Rouge-2 F1 and Rouge-L F1 on tokenized inputs."""
-    return phi_tokens(tokenize(candidate_text), tokenize(reference_text))
+    return phi_profiles(profile(candidate_text), profile(reference_text))
 
 
 def phi_tokens(cand: list[str], ref: list[str]) -> float:
     """phi on token sequences that are already tokenized."""
-    return (rouge(cand, ref, "bigram").f1 + rouge(cand, ref, "lcs").f1) / 2.0
+    return phi_profiles(Profile(cand), Profile(ref))
 
 
 def phi_matrix(texts: list[str], references: list[str]) -> list[list[float]]:
     """Rows of phi: out[i][j] == phi(texts[i], references[j]).
 
-    Every text and every reference is tokenized once.
+    Every text and every reference is profiled once.
     """
-    refs = [tokenize(r) for r in references]
-    return [[phi_tokens(cand, ref) for ref in refs] for cand in map(tokenize, texts)]
+    refs = [profile(r) for r in references]
+    return [[phi_profiles(cand, ref) for ref in refs] for cand in map(profile, texts)]
+
+
+def com_rouge_profiles(response: Profile, sub_answers: list[Profile]) -> float:
+    """com_rouge on profiles."""
+    total = sum(len(ref.tokens) for ref in sub_answers)
+    if total == 0:
+        raise ValueError("degenerate sub-answers")
+    return sum((len(ref.tokens) / total) * phi_profiles(response, ref)
+               for ref in sub_answers)
 
 
 def com_rouge(response: str, sub_answers: list[str]) -> float:
@@ -120,11 +181,4 @@ def com_rouge(response: str, sub_answers: list[str]) -> float:
     Each sub-answer is weighted by its token count normalized over all
     sub-answers, so the weights sum to 1.
     """
-    if not sub_answers:
-        raise ValueError("degenerate sub-answers")
-    refs = [tokenize(a) for a in sub_answers]
-    total = sum(len(ref) for ref in refs)
-    if total == 0:
-        raise ValueError("degenerate sub-answers")
-    resp = tokenize(response)
-    return sum((len(ref) / total) * phi_tokens(resp, ref) for ref in refs)
+    return com_rouge_profiles(profile(response), [profile(a) for a in sub_answers])

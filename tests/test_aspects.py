@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from facetrank.aspects import (ExplorerPrompt, SubAspectList, explorer_sft_loss,
-                               format_target, parse_aspects, predict_aspects)
+from facetrank.aspects import (ExplorerPrompt, SubAspectList, format_target,
+                               parse_aspects, predict_aspects)
 
 
 def aspects(*names, source="predicted"):
@@ -90,19 +90,6 @@ def test_prompt_placeholder_validation():
         ExplorerPrompt("no placeholder")
     with pytest.raises(ValueError):
         ExplorerPrompt("{query} twice {query}")
-
-
-def test_explorer_sft_loss():
-    assert explorer_sft_loss([-0.5, -0.5]) == pytest.approx(1.0)
-    assert explorer_sft_loss([0.0]) == 0.0
-    assert explorer_sft_loss([-1.0, -2.0, -3.0]) == pytest.approx(6.0)
-
-
-def test_explorer_sft_loss_errors():
-    with pytest.raises(ValueError, match="invalid log-probability"):
-        explorer_sft_loss([-0.5, 0.1])
-    with pytest.raises(ValueError):
-        explorer_sft_loss([])
 
 
 def test_sub_aspect_list_validation():

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -9,7 +10,7 @@ from facetrank.preferences import (OracleGenerator, PreferencePair, RewardedList
                                    generate_rewarded_lists, oracle_generate,
                                    reward)
 from facetrank.ranker import RankerConfig, RankingList, UniformBackend
-from facetrank.text_metrics import com_rouge, phi
+from facetrank.text_metrics import com_rouge, phi, tokenize, unigram_f1
 
 
 def rewarded(value, provenance):
@@ -62,6 +63,45 @@ def test_oracle_generate_empty_docs():
     assert oracle_generate("q", ["...", ""], 3) == ""
     with pytest.raises(ValueError):
         oracle_generate("q", ["text."], 0)
+
+
+def list_oracle_generate(query, ranked_docs, budget):
+    """oracle_generate scoring every sentence by unigram_f1 on token lists."""
+    sentences = []
+    for doc in ranked_docs:
+        for raw in re.split(r"[.!?]+", doc):
+            toks = tokenize(raw)
+            if toks:
+                sentences.append((raw.strip(), toks))
+    if not sentences:
+        return ""
+    query_tokens = tokenize(query)
+    picked, covered = [], set()
+    for _ in range(min(budget, len(sentences))):
+        target = [t for t in query_tokens if t not in covered]
+        best, best_score = None, -1.0
+        for idx, (_text, toks) in enumerate(sentences):
+            if idx in picked:
+                continue
+            score = unigram_f1(toks, target).f1 if target else 0.0
+            if score > best_score:
+                best, best_score = idx, score
+        picked.append(best)
+        covered.update(sentences[best][1])
+    return ". ".join(sentences[i][0] for i in picked) + "."
+
+
+def test_oracle_generate_equals_list_oracle():
+    rng = random.Random(17)
+    words = ["w%d" % i for i in range(8)]
+    for _ in range(300):
+        docs = [" ".join(rng.choice(words + [".", "!", "?.", "W3"])
+                         for _ in range(rng.randint(0, 25)))
+                for _ in range(rng.randint(0, 5))]
+        query = " ".join(rng.choices(words, k=rng.randint(0, 6)))
+        budget = rng.randint(1, 6)
+        assert oracle_generate(query, docs, budget) == \
+            list_oracle_generate(query, docs, budget)
 
 
 def test_us3_worked_fixture():

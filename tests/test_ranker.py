@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -7,10 +8,10 @@ from conftest import make_pool
 from facetrank.aspects import SubAspectList
 from facetrank.corpus import Document
 from facetrank.pool import Candidate
-from facetrank.ranker import (CandidateEncoding, RankerConfig, UniformBackend,
-                              format_input, masked_softmax, rank,
-                              reference_backend, sequence_log_prob,
-                              step_distribution)
+from facetrank.ranker import (RankerConfig, UniformBackend, masked_softmax, rank,
+                              reference_backend, sequence_log_prob)
+from facetrank.silver import weights_from_rows
+from facetrank.text_metrics import phi, tokenize
 
 
 class StubBackend:
@@ -28,51 +29,25 @@ def candidate(i, text, aspect_set=(0,)):
                      {a: 1 for a in aspect_set})
 
 
-def test_format_input_single_aspect():
-    asp = SubAspectList(("career",), source="gold")
-    c = candidate(3, "the doc text")
-    assert format_input(c, "who is X", asp) == "[D3] who is X [Q] career [S] the doc text"
-
-
-def test_format_input_two_aspects():
-    asp = SubAspectList(("a1", "a2"), source="gold")
-    c = candidate(0, "body", aspect_set=(0, 1))
-    assert format_input(c, "q", asp) == "[D0] q [Q] a1 [E] a2 [S] body"
-
-
-def test_format_input_empty_doc_text():
-    asp = SubAspectList(("a",), source="gold")
-    c = candidate(1, "")
-    assert format_input(c, "q", asp).endswith("[S] ")
-
-
+# The ranker's distribution at one decode step is masked_softmax over that
+# step's scores.
 def test_step_distribution_uniform_and_masked():
-    enc = CandidateEncoding(np.ones((3, 2)))
-    h = np.array([1.0, 0.0])
-    probs = step_distribution(enc, h, 1.0, set())
+    probs = masked_softmax(np.ones(3), 1.0, set())
     assert probs == pytest.approx([1 / 3] * 3)
-    probs = step_distribution(enc, h, 1.0, {0})
+    probs = masked_softmax(np.ones(3), 1.0, {0})
     assert probs[0] == 0.0
     assert probs[1] == probs[2] == pytest.approx(0.5)
 
 
 def test_step_distribution_closed_form():
-    enc = CandidateEncoding(np.array([[1.0], [0.0]]))
-    probs = step_distribution(enc, np.array([1.0]), 1.0, set())
+    probs = masked_softmax(np.array([1.0, 0.0]), 1.0, set())
     e = math.e
     assert probs == pytest.approx([e / (e + 1), 1 / (e + 1)])
 
 
 def test_step_distribution_all_masked_errors():
-    enc = CandidateEncoding(np.ones((2, 1)))
     with pytest.raises(ValueError, match="no candidates available"):
-        step_distribution(enc, np.array([1.0]), 1.0, {0, 1})
-
-
-def test_step_distribution_dimension_mismatch():
-    enc = CandidateEncoding(np.ones((2, 3)))
-    with pytest.raises(ValueError, match="dimension"):
-        step_distribution(enc, np.array([1.0]), 1.0, set())
+        masked_softmax(np.ones(2), 1.0, {0, 1})
 
 
 def test_rank_pool_of_one():
@@ -164,6 +139,29 @@ def test_masked_probability_exactly_zero_and_sums_to_one():
         assert abs(probs.sum() - 1.0) <= 1e-9
 
 
+def list_masked_softmax(scores, tau, mask):
+    """masked_softmax with the kept indices built by a Python loop."""
+    m = len(scores)
+    logits = np.asarray(scores, dtype=float) / tau
+    keep = np.array([i not in mask for i in range(m)])
+    shifted = logits[keep] - logits[keep].max()
+    expd = np.exp(shifted)
+    probs = np.zeros(m)
+    probs[keep] = expd / expd.sum()
+    return probs
+
+
+def test_masked_softmax_equals_list_mask():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        m = int(rng.integers(1, 12))
+        scores = rng.normal(size=m) * 3
+        mask = set(rng.choice(m, size=rng.integers(0, m), replace=False).tolist())
+        tau = float(rng.uniform(0.05, 2.0))
+        assert np.array_equal(masked_softmax(scores, tau, mask),
+                              list_masked_softmax(scores, tau, mask))
+
+
 def test_backend_exchangeability():
     texts = ["alpha beta", "gamma delta", "alpha gamma"]
     pool = make_pool(texts, query="alpha", aspects=("beta", "gamma"))
@@ -230,6 +228,69 @@ def test_reference_backend_reuse_matches_fresh_backend():
         fresh = reference_backend("fruit", asp, cands)
         assert np.array_equal(reused.step_scores(out.docids[:t]),
                               fresh.step_scores(out.docids[:t]))
+
+
+class LoopReferenceBackend:
+    """ReferenceBackend as one tokenize and term-frequency loop per text, and
+    a phi row per selected doc from the strings."""
+
+    def __init__(self, query, aspects, candidates):
+        self.aspects = aspects
+        self.texts = [c.doc.text for c in candidates]
+        vocab = {}
+        for text in [query, *aspects.aspects, *self.texts]:
+            for tok in tokenize(text):
+                vocab.setdefault(tok, len(vocab))
+        self.vocab = vocab
+        self.encodings = (np.stack([self._unit_tf(t) for t in self.texts])
+                          if self.texts else np.zeros((0, max(len(vocab), 1))))
+        self.aspect_vectors = [self._unit_tf(f"{query} {a}") for a in aspects.aspects]
+
+    def _unit_tf(self, text):
+        v = np.zeros(max(len(self.vocab), 1))
+        for tok in tokenize(text):
+            if tok in self.vocab:
+                v[self.vocab[tok]] += 1.0
+        norm = np.linalg.norm(v)
+        return v / norm if norm > 0 else v
+
+    def step_scores(self, selected):
+        rows = [[phi(self.texts[i], a) for a in self.aspects.aspects] for i in selected]
+        w = weights_from_rows(rows, len(self.aspects.aspects))
+        h = np.zeros(max(len(self.vocab), 1))
+        for wj, vj in zip(w, self.aspect_vectors):
+            h += wj * vj
+        norm = np.linalg.norm(h)
+        if norm > 0:
+            h = h / norm
+        return self.encodings @ h
+
+
+def test_reference_backend_equals_loop_backend():
+    rng = random.Random(5)
+    words = ["w%d" % i for i in range(9)] + ["W1", "w1.", "..."]
+    for _ in range(40):
+        texts = [" ".join(rng.choices(words, k=rng.randint(0, 30)))
+                 for _ in range(rng.randint(1, 12))]
+        aspects = tuple(" ".join(rng.choices(words[:9], k=rng.randint(1, 4)))
+                        for _ in range(rng.randint(1, 4)))
+        query = " ".join(rng.choices(words, k=rng.randint(0, 4)))
+        pool = make_pool(texts, query=query, aspects=aspects)
+        fast = reference_backend(query, pool.aspects, pool.candidates)
+        loop = LoopReferenceBackend(query, pool.aspects, pool.candidates)
+        assert np.array_equal(fast.encodings, loop.encodings)
+        assert len(fast.aspect_vectors) == len(loop.aspect_vectors)
+        for got, want in zip(fast.aspect_vectors, loop.aspect_vectors):
+            assert np.array_equal(got, want)
+        cfg = RankerConfig(k=rng.randint(1, len(texts)), tau=rng.choice([0.1, 0.5, 2.0]),
+                           allow_repetition=rng.random() < 0.3, seed=rng.randint(0, 99))
+        for mode in ("greedy", "sampled"):
+            got, want = rank(pool, cfg, fast, mode), rank(pool, cfg, loop, mode)
+            assert (got.docids, got.step_logprobs) == (want.docids, want.step_logprobs)
+    asp = SubAspectList(("a b",), source="gold")
+    assert np.array_equal(reference_backend("q", asp, []).encodings,
+                          LoopReferenceBackend("q", asp, []).encodings)
+    assert reference_backend("q", asp, []).encodings.shape == (0, 3)
 
 
 def test_ranker_config_validation():

@@ -1,12 +1,9 @@
-import math
 import random
 
 import pytest
 
 from conftest import make_pool
-from facetrank.ranker import RankerConfig, UniformBackend
-from facetrank.silver import (aspect_weights, build_silver_list, coverage_gain,
-                              sft_loss_value)
+from facetrank.silver import aspect_weights, build_silver_list, coverage_gain
 from facetrank.text_metrics import phi
 
 
@@ -169,33 +166,3 @@ def test_build_silver_equals_reference_greedy():
         target = build_silver_list(make_pool(texts), subs, k)
         assert (target.docids, target.step_utilities, target.weight_trace) == \
             reference_greedy(texts, subs, k)
-
-
-def test_sft_loss_uniform_backend():
-    pool = make_pool(["a1 a2", "b1 b2", "c1 c2", "d1 d2"])
-    target = build_silver_list(pool, ["a1 a2", "b1 b2"], 2)
-    loss = sft_loss_value(pool, target, RankerConfig(k=2, tau=1.0), UniformBackend(4))
-    assert loss == pytest.approx(math.log(12))
-    assert loss >= 0
-
-
-def test_sft_loss_perfect_backend():
-    import numpy as np
-
-    class PerfectBackend:
-        """Puts overwhelming mass on the silver docid at each step."""
-
-        def __init__(self, target_docids, m):
-            self.target = target_docids
-            self.m = m
-
-        def step_scores(self, selected):
-            scores = np.zeros(self.m)
-            scores[self.target[len(selected)]] = 1e6
-            return scores
-
-    pool = make_pool(["aa bb", "cc dd"])
-    target = build_silver_list(pool, ["aa bb"], 2)
-    loss = sft_loss_value(pool, target, RankerConfig(k=2, tau=1.0),
-                          PerfectBackend(target.docids, 2))
-    assert loss == pytest.approx(0.0, abs=1e-9)

@@ -4,8 +4,10 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from facetrank.text_metrics import (_lcs_length, com_rouge, phi, phi_matrix, rouge,
-                                    tokenize, unigram_f1)
+from facetrank.text_metrics import (ZERO_SCORE, OverlapScore, Profile, clipped_overlap,
+                                    com_rouge, lcs_length, phi, phi_matrix,
+                                    phi_profiles, phi_tokens, rouge, rouge2_f1,
+                                    rougel_f1, tokenize, unigram_f1)
 
 tokens = st.lists(st.sampled_from("abcdefgh"), max_size=10)
 
@@ -49,6 +51,50 @@ def dp_lcs(a, b):
             row[j] = prev + 1 if x == y else max(row[j], row[j - 1])
             prev = cur
     return row[-1]
+
+
+def string_clipped_overlap(cand, ref):
+    """The string path before profiles: a Counter intersection per pair."""
+    if not cand or not ref:
+        return ZERO_SCORE
+    overlap = sum((Counter(cand) & Counter(ref)).values())
+    p = overlap / len(cand)
+    r = overlap / len(ref)
+    return OverlapScore(p, r, 2.0 * p * r / (p + r) if p + r > 0 else 0.0)
+
+
+def string_lcs_length(a, b):
+    """The string path before profiles: bit-parallel LCS with the masks of
+    the shorter sequence rebuilt per pair, stepping over the longer one."""
+    if not a or not b:
+        return 0
+    if len(a) > len(b):
+        a, b = b, a
+    masks = {}
+    for i, x in enumerate(a):
+        masks[x] = masks.get(x, 0) | (1 << i)
+    full = (1 << len(a)) - 1
+    v = full
+    for y in b:
+        m = masks.get(y)
+        if m:
+            u = v & m
+            v = ((v + u) | (v - u)) & full
+    return len(a) - bin(v).count("1")
+
+
+def string_rouge(cand, ref, variant):
+    if variant == "bigram":
+        return string_clipped_overlap(list(zip(cand, cand[1:])), list(zip(ref, ref[1:])))
+    if not cand or not ref:
+        return ZERO_SCORE
+    lcs = string_lcs_length(cand, ref)
+    p, r = lcs / len(cand), lcs / len(ref)
+    return OverlapScore(p, r, 2.0 * p * r / (p + r) if p + r > 0 else 0.0)
+
+
+def string_phi_tokens(cand, ref):
+    return (string_rouge(cand, ref, "bigram").f1 + string_rouge(cand, ref, "lcs").f1) / 2.0
 
 
 def test_tokenize_rule():
@@ -150,8 +196,31 @@ small_alphabet_pairs = st.sampled_from(["ab", "abc", "abcd"]).flatmap(
 @example((list("abc"), []))
 def test_bit_parallel_lcs_matches_dp(pair):
     a, b = pair
-    assert _lcs_length(a, b) == dp_lcs(a, b)
-    assert _lcs_length(b, a) == dp_lcs(a, b)
+    assert lcs_length(Profile(a), Profile(b)) == dp_lcs(a, b)
+    assert lcs_length(Profile(b), Profile(a)) == dp_lcs(a, b)
+
+
+@settings(deadline=None)
+@given(small_alphabet_pairs)
+@example(([], []))
+@example(([], ["a"]))
+@example((["a"], ["a"]))
+@example((["a"], list("ab" * 40)))
+@example((list("aab" * 30), list("abb" * 25)))
+@example((list("ab" * 100), list("ba" * 40)))
+def test_profile_kernel_equals_string_oracles(pair):
+    a, b = pair
+    pa, pb = Profile(a), Profile(b)
+    for x, y, px, py in ((a, b, pa, pb), (b, a, pb, pa)):
+        assert lcs_length(px, py) == string_lcs_length(x, y)
+        assert clipped_overlap(Counter(x), Counter(y)) == \
+            sum((Counter(x) & Counter(y)).values())
+        assert rouge(x, y, "bigram") == string_rouge(x, y, "bigram")
+        assert rouge(x, y, "lcs") == string_rouge(x, y, "lcs")
+        assert unigram_f1(x, y) == string_clipped_overlap(x, y)
+        assert rouge2_f1(px, py) == string_rouge(x, y, "bigram").f1
+        assert rougel_f1(px, py) == string_rouge(x, y, "lcs").f1
+        assert phi_profiles(px, py) == phi_tokens(x, y) == string_phi_tokens(x, y)
 
 
 texts = st.lists(st.text(alphabet="ab cd.", max_size=30), max_size=4)
