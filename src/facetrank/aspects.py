@@ -22,16 +22,7 @@ class SubAspectList:
             raise ValueError("empty aspect string")
 
 
-@dataclass(frozen=True)
-class ExplorerPrompt:
-    template: str = "List the sub-aspects of the question: {query}"
-
-    def __post_init__(self):
-        if self.template.count("{query}") != 1:
-            raise ValueError("template must contain exactly one {query} placeholder")
-
-    def render(self, query: str) -> str:
-        return self.template.format(query=query)
+EXPLORER_PROMPT = "List the sub-aspects of the question: {query}"
 
 
 def format_target(aspects: SubAspectList) -> str:
@@ -71,14 +62,14 @@ def parse_aspects(raw: str) -> SubAspectList:
     return SubAspectList(aspects, source="predicted")
 
 
-def predict_aspects(query: str, prompt: ExplorerPrompt, client, max_tokens: int = 256) -> SubAspectList:
-    """Ask an LLM client for the query's sub-aspects.
+def predict_aspects(query: str, client, max_tokens: int = 256) -> SubAspectList:
+    """Ask an LLM client for the query's sub-aspects, prompted by EXPLORER_PROMPT.
 
     The client contract is ``complete(prompt: str, max_tokens: int) -> str``.
     One retry on unparseable output, then fall back to the query itself as
     a single aspect.
     """
-    rendered = prompt.render(query)
+    rendered = EXPLORER_PROMPT.format(query=query)
     for _ in range(2):
         completion = client.complete(rendered, max_tokens)
         try:

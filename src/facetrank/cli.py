@@ -35,24 +35,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    config = load_config(
-        args.config,
-        k=args.k,
-        mu=args.mu,
-        tau=args.tau,
-        seed=args.seed,
-        aspect_mode=args.aspect_mode,
-        allow_repetition=args.allow_repetition,
-        ablation=args.ablation,
-    )
-    if args.command == "pipeline":
-        report = run_pipeline(config, args.dataset, args.corpus, args.out)
+    args = vars(build_parser().parse_args(argv))
+    command, config_path, dataset, corpus, out_dir = (
+        args.pop(name) for name in ("command", "config", "dataset", "corpus", "out"))
+    config = load_config(config_path, **args)  # every other argument is an override
+    if command == "pipeline":
+        report = run_pipeline(config, dataset, corpus, out_dir)
         out = {"config_fingerprint": report["config_fingerprint"],
                "num_queries": report["num_queries"],
                "means": report["means"]}
     else:
-        stats = run_stage(args.command, config, args.dataset, args.corpus, args.out)
+        stats = run_stage(command, config, dataset, corpus, out_dir)
         out = {k: v for k, v in stats.items() if k != "report"}
     json.dump(out, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")

@@ -11,23 +11,24 @@ import math
 
 from .pool import CandidatePool
 from .silver import weights_from_rows
-from .text_metrics import phi_matrix, profile, rouge2_f1, rougel_f1, unigram_f1
+from .text_metrics import (length_weighted, phi_matrix, profile, rouge2_f1, rougel_f1,
+                           unigram_f1)
 
 
 def evaluate_response(response: str, answer: str, sub_answers: list[str]) -> dict[str, float]:
-    """F1 / R2 / RL against the answer, CR2 / CRL against the sub-answers."""
+    """F1 / R2 / RL against the answer, CR2 / CRL against the sub-answers.
+
+    Raises ValueError when the sub-answers hold no token.
+    """
     resp = profile(response)
     ans = profile(answer)
     refs = [profile(a) for a in sub_answers]
-    total = sum(len(ref.tokens) for ref in refs) or 1
-    cr2 = sum((len(ref.tokens) / total) * rouge2_f1(resp, ref) for ref in refs)
-    crl = sum((len(ref.tokens) / total) * rougel_f1(resp, ref) for ref in refs)
     return {
         "f1": unigram_f1(resp.tokens, ans.tokens).f1,
         "r2": rouge2_f1(resp, ans),
         "rl": rougel_f1(resp, ans),
-        "cr2": cr2,
-        "crl": crl,
+        "cr2": length_weighted(rouge2_f1, resp, refs),
+        "crl": length_weighted(rougel_f1, resp, refs),
     }
 
 

@@ -20,10 +20,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import evaluation, preferences, silver
-from .aspects import HttpLlmClient, SubAspectList, ExplorerPrompt, predict_aspects
+from .aspects import HttpLlmClient, SubAspectList, predict_aspects
 from .corpus import Document, InvertedIndex, build_index, load_corpus, retrieve
 from .pool import CandidatePool, merge_pool, pool_from_dict, pool_to_dict, retrieve_per_aspect
 from .ranker import RankerConfig, RemoteBackend, rank, reference_backend
+from .text_metrics import tokenize
 
 log = logging.getLogger(__name__)
 
@@ -136,6 +137,9 @@ def load_dataset(path: str) -> list[DatasetRecord]:
             if len(rec.sub_aspects) != len(rec.sub_answers) or not rec.sub_aspects:
                 raise ValueError(f"record {rec.id}: sub_aspects and sub_answers "
                                  "must be aligned and non-empty")
+            for i, sub_answer in enumerate(rec.sub_answers):
+                if not tokenize(sub_answer):
+                    raise ValueError(f"record {rec.id}: sub-answer {i} has no token")
             if len(rec.sub_aspects) < 2:
                 log.warning("record %s has fewer than 2 sub-aspects", rec.id)
             if _squash(rec.answer) != _squash(" ".join(rec.sub_answers)):
@@ -199,13 +203,6 @@ def _artifact_path(out_dir: str, stage: str) -> str:
     return os.path.join(out_dir, _ARTIFACTS[stage])
 
 
-def _require(out_dir: str, stage: str) -> str:
-    path = _artifact_path(out_dir, stage)
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"missing artifact: {stage}")
-    return path
-
-
 def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -217,9 +214,12 @@ def _write_rows(path: str, inputs: RunInputs, rows: list[dict]) -> None:
             fh.write(_dump(row) + "\n")
 
 
-def _read_rows(path: str, inputs: RunInputs) -> list[dict]:
-    """Rows after the header; rejects an artifact written under another
-    config or from other input files."""
+def _read_rows(out_dir: str, stage: str, inputs: RunInputs) -> list[dict]:
+    """Rows after the header of a stage's artifact; rejects a missing artifact
+    and one written under another config or from other input files."""
+    path = _artifact_path(out_dir, stage)
+    if not os.path.exists(path):
+        raise FileNotFoundError(f"missing artifact: {stage}")
     with open(path, encoding="utf-8") as fh:
         lines = [json.loads(l) for l in fh if l.strip()]
     for key, value in inputs.header.items():
@@ -233,7 +233,7 @@ def _read_rows(path: str, inputs: RunInputs) -> list[dict]:
 
 
 def _load_index(out_dir: str, inputs: RunInputs) -> InvertedIndex:
-    _read_rows(_require(out_dir, "index"), inputs)  # index.json is one header line
+    _read_rows(out_dir, "index", inputs)  # index.json is one header line
     return inputs.index
 
 
@@ -260,14 +260,13 @@ def _stage_aspects(config, inputs, out_dir):
             raise ValueError("predicted aspect mode requires explorer_endpoint")
         client = HttpLlmClient(config.explorer_endpoint, timeout=config.timeout,
                                retries=config.retries)
-    prompt = ExplorerPrompt()
     for rec in inputs.records:
         if config.ablation == "no-sa":
             aspects = SubAspectList((rec.question,), source="fallback")
         elif config.aspect_mode == "gold":
             aspects = SubAspectList(rec.sub_aspects, source="gold")
         else:
-            aspects = predict_aspects(rec.question, prompt, client)
+            aspects = predict_aspects(rec.question, client)
         rows.append({"id": rec.id, "aspects": list(aspects.aspects),
                      "source": aspects.source})
     _write_rows(_artifact_path(out_dir, "aspects"), inputs, rows)
@@ -275,7 +274,7 @@ def _stage_aspects(config, inputs, out_dir):
 
 
 def _load_aspects(out_dir: str, inputs: RunInputs) -> dict[str, SubAspectList]:
-    rows = _read_rows(_require(out_dir, "aspects"), inputs)
+    rows = _read_rows(out_dir, "aspects", inputs)
     return {r["id"]: SubAspectList(tuple(r["aspects"]), source=r["source"])
             for r in rows}
 
@@ -294,7 +293,7 @@ def _stage_retrieve(config, inputs, out_dir):
 
 
 def _load_retrieve(out_dir: str, inputs: RunInputs) -> dict[str, list[list[tuple[str, float]]]]:
-    rows = _read_rows(_require(out_dir, "retrieve"), inputs)
+    rows = _read_rows(out_dir, "retrieve", inputs)
     return {r["id"]: [[(d, s) for d, s in lst] for lst in r["lists"]] for r in rows}
 
 
@@ -312,33 +311,39 @@ def _stage_pool(config, inputs, out_dir):
 
 def _load_pools(out_dir: str, inputs: RunInputs) -> dict[str, CandidatePool]:
     aspects = _load_aspects(out_dir, inputs)
-    rows = _read_rows(_require(out_dir, "pool"), inputs)
+    rows = _read_rows(out_dir, "pool", inputs)
     by_id = {rec.id: rec for rec in inputs.records}
     pools = {}
     for row in rows:
         rec = by_id[row["query_id"]]
-        pools[rec.id] = pool_from_dict(row, rec.question,
-                                       aspects[rec.id].source,
-                                       inputs.config.pool_capacity,
+        pools[rec.id] = pool_from_dict(row, rec.question, aspects[rec.id].source,
                                        inputs.documents)
     return pools
 
 
-def _stage_silver(config, inputs, out_dir):
-    pools = _load_pools(out_dir, inputs)
+def _per_query(stage: str, inputs: RunInputs, out_dir: str, job) -> dict:
+    """Write the rows job(position, record) returns for every record as the
+    stage's artifact; a ValueError from the job is that query's failure."""
     rows = []
     failures = []
-    for rec in inputs.records:
+    for position, rec in enumerate(inputs.records):
         try:
-            target = silver.build_silver_list(pools[rec.id],
-                                              list(rec.sub_answers), config.k)
+            rows.extend(job(position, rec))
         except ValueError as err:
             failures.append({"id": rec.id, "error": str(err)})
-            continue
-        rows.append({"query_id": rec.id, "docids": target.docids,
-                     "step_utilities": target.step_utilities})
-    _write_rows(_artifact_path(out_dir, "silver"), inputs, rows)
+    _write_rows(_artifact_path(out_dir, stage), inputs, rows)
     return {"count": len(rows), "failures": failures}
+
+
+def _stage_silver(config, inputs, out_dir):
+    pools = _load_pools(out_dir, inputs)
+
+    def job(_position, rec):
+        target = silver.build_silver_list(pools[rec.id], list(rec.sub_answers),
+                                          config.k)
+        return [{"query_id": rec.id, "docids": target.docids,
+                 "step_utilities": target.step_utilities}]
+    return _per_query("silver", inputs, out_dir, job)
 
 
 def _make_backend(config: RunConfig, pool: CandidatePool):
@@ -358,18 +363,12 @@ def _ranker_config(config: RunConfig) -> RankerConfig:
 def _stage_rank(config, inputs, out_dir):
     pools = _load_pools(out_dir, inputs)
     rcfg = _ranker_config(config)
-    rows = []
-    failures = []
-    for rec in inputs.records:
-        try:
-            ranking = rank(pools[rec.id], rcfg, _make_backend(config, pools[rec.id]))
-        except ValueError as err:
-            failures.append({"id": rec.id, "error": str(err)})
-            continue
-        rows.append({"query_id": rec.id, "docids": ranking.docids,
-                     "step_logprobs": ranking.step_logprobs, "mode": ranking.mode})
-    _write_rows(_artifact_path(out_dir, "rank"), inputs, rows)
-    return {"count": len(rows), "failures": failures}
+
+    def job(_position, rec):
+        ranking = rank(pools[rec.id], rcfg, _make_backend(config, pools[rec.id]))
+        return [{"query_id": rec.id, "docids": ranking.docids,
+                 "step_logprobs": ranking.step_logprobs, "mode": ranking.mode}]
+    return _per_query("rank", inputs, out_dir, job)
 
 
 def _make_generator(config: RunConfig):
@@ -384,34 +383,27 @@ def _stage_pairs(config, inputs, out_dir):
     pools = _load_pools(out_dir, inputs)
     rcfg = _ranker_config(config)
     generator = _make_generator(config)
-    rows = []
-    failures = []
-    for rec_idx, rec in enumerate(inputs.records):
+
+    def job(position, rec):
         pool = pools[rec.id]
-        try:
-            lists = preferences.generate_rewarded_lists(
-                pool, rcfg, _make_backend(config, pool), generator,
-                rec.answer, list(rec.sub_answers), config.num_samples)
-            if config.ablation == "random-pairs":
-                pairs = _random_pairs(lists, random.Random(config.seed + rec_idx))
-            else:
-                pairs = preferences.build_us3_pairs(lists, config.mu)
-        except ValueError as err:
-            failures.append({"id": rec.id, "error": str(err)})
-            continue
-        for p in pairs:
-            rows.append({
-                "query_id": rec.id,
-                "winner_docids": p.winner.list.docids,
-                "loser_docids": p.loser.list.docids,
-                "winner_reward": p.winner.reward,
-                "loser_reward": p.loser.reward,
-                "gap": p.gap,
-                "mu": config.mu,
-                "beta": config.beta,
-            })
-    _write_rows(_artifact_path(out_dir, "pairs"), inputs, rows)
-    return {"count": len(rows), "failures": failures}
+        lists = preferences.generate_rewarded_lists(
+            pool, rcfg, _make_backend(config, pool), generator,
+            rec.answer, list(rec.sub_answers), config.num_samples)
+        if config.ablation == "random-pairs":
+            pairs = _random_pairs(lists, random.Random(config.seed + position))
+        else:
+            pairs = preferences.build_us3_pairs(lists, config.mu)
+        return [{
+            "query_id": rec.id,
+            "winner_docids": p.winner.list.docids,
+            "loser_docids": p.loser.list.docids,
+            "winner_reward": p.winner.reward,
+            "loser_reward": p.loser.reward,
+            "gap": p.gap,
+            "mu": config.mu,
+            "beta": config.beta,
+        } for p in pairs]
+    return _per_query("pairs", inputs, out_dir, job)
 
 
 def _random_pairs(lists, rng: random.Random):
@@ -433,10 +425,8 @@ def _stage_eval(config, inputs, out_dir):
     index = _load_index(out_dir, inputs)
     pools = _load_pools(out_dir, inputs)
     per_aspect = _load_retrieve(out_dir, inputs)
-    silver_rows = {r["query_id"]: r for r in
-                   _read_rows(_require(out_dir, "silver"), inputs)}
-    rank_rows = {r["query_id"]: r for r in
-                 _read_rows(_require(out_dir, "rank"), inputs)}
+    silver_rows = {r["query_id"]: r for r in _read_rows(out_dir, "silver", inputs)}
+    rank_rows = {r["query_id"]: r for r in _read_rows(out_dir, "rank", inputs)}
     generator = _make_generator(config)
     cutoffs = list(config.ndcg_cutoffs)
 
@@ -447,7 +437,6 @@ def _stage_eval(config, inputs, out_dir):
             skipped.append(rec.id)
             continue
         pool = pools[rec.id]
-        by_doc_id = {c.doc.doc_id: c for c in pool.candidates}
         silver_texts = [pool.candidates[i].doc.text
                         for i in silver_rows[rec.id]["docids"]]
         relevant = evaluation.label_relevance(pool, rec.answer,
@@ -463,8 +452,7 @@ def _stage_eval(config, inputs, out_dir):
         }
         per_query[rec.id] = {}
         for name, doc_ids in systems.items():
-            texts = [by_doc_id[d].doc.text if d in by_doc_id
-                     else inputs.documents[d].text for d in doc_ids]
+            texts = [inputs.documents[d].text for d in doc_ids]
             response = generator.generate(rec.question, texts)
             metrics = evaluation.evaluate_response(response, rec.answer,
                                                    list(rec.sub_answers))

@@ -16,9 +16,7 @@ from .corpus import Document, InvertedIndex, retrieve
 
 @dataclass
 class Candidate:
-    pool_index: int
     doc: Document
-    aspect_set: tuple[int, ...]  # aspect indices, ascending
     best_rank: dict[int, int]  # aspect index -> 1-based retrieval rank
 
 
@@ -26,8 +24,7 @@ class Candidate:
 class CandidatePool:
     query: str
     aspects: SubAspectList
-    candidates: list[Candidate]
-    capacity: int
+    candidates: list[Candidate]  # in admission order
 
 
 def retrieve_per_aspect(index: InvertedIndex, query: str, aspects: SubAspectList,
@@ -59,47 +56,39 @@ def merge_pool(query: str, aspects: SubAspectList,
             if cand is None:
                 if len(admitted) >= capacity:
                     continue
-                cand = Candidate(
-                    pool_index=len(admitted),
-                    doc=documents[doc_id],
-                    aspect_set=(aspect_idx,),
-                    best_rank={aspect_idx: pos + 1},
-                )
-                admitted[doc_id] = cand
+                admitted[doc_id] = Candidate(documents[doc_id], {aspect_idx: pos + 1})
             elif aspect_idx not in cand.best_rank:
-                cand.aspect_set = tuple(sorted(set(cand.aspect_set) | {aspect_idx}))
                 cand.best_rank[aspect_idx] = pos + 1
-    candidates = sorted(admitted.values(), key=lambda c: c.pool_index)
-    return CandidatePool(query, aspects, candidates, capacity)
+    return CandidatePool(query, aspects, list(admitted.values()))
 
 
 def pool_to_dict(query_id: str, pool: CandidatePool) -> dict:
-    """Serializable cache form of a pool (doc texts live in the corpus)."""
+    """Serializable cache form of a pool (doc texts live in the corpus).
+
+    Each candidate also records its list position (`pool_index`) and the
+    ascending indices of the aspects that retrieved it (`aspect_set`).
+    """
     return {
         "query_id": query_id,
         "aspects": list(pool.aspects.aspects),
         "candidates": [
             {
-                "pool_index": c.pool_index,
+                "pool_index": i,
                 "doc_id": c.doc.doc_id,
-                "aspect_set": list(c.aspect_set),
+                "aspect_set": sorted(c.best_rank),
                 "best_rank": {str(k): v for k, v in sorted(c.best_rank.items())},
             }
-            for c in pool.candidates
+            for i, c in enumerate(pool.candidates)
         ],
     }
 
 
-def pool_from_dict(obj: dict, query: str, source: str, capacity: int,
+def pool_from_dict(obj: dict, query: str, source: str,
                    documents: dict[str, Document]) -> CandidatePool:
     aspects = SubAspectList(tuple(obj["aspects"]), source=source)
     candidates = [
-        Candidate(
-            pool_index=c["pool_index"],
-            doc=documents[c["doc_id"]],
-            aspect_set=tuple(c["aspect_set"]),
-            best_rank={int(k): v for k, v in c["best_rank"].items()},
-        )
+        Candidate(documents[c["doc_id"]],
+                  {int(k): v for k, v in c["best_rank"].items()})
         for c in obj["candidates"]
     ]
-    return CandidatePool(query, aspects, candidates, capacity)
+    return CandidatePool(query, aspects, candidates)

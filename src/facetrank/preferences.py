@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from .aspects import post_json
 from .pool import CandidatePool
 from .ranker import RankerConfig, RankingList, rank
-from .text_metrics import (clipped_overlap, com_rouge_profiles, f1_of, phi_profiles,
+from .text_metrics import (clipped_overlap, f1_of, length_weighted, phi_profiles,
                            profile, tokenize)
 
 
@@ -42,8 +42,8 @@ def reward(response: str, answer: str, sub_answers: list[str]) -> float:
     if not response:
         return 0.0
     resp = profile(response)
-    return phi_profiles(resp, profile(answer)) + com_rouge_profiles(
-        resp, [profile(a) for a in sub_answers])
+    return phi_profiles(resp, profile(answer)) + length_weighted(
+        phi_profiles, resp, [profile(a) for a in sub_answers])
 
 
 _SENTENCE_RE = re.compile(r"[.!?]+")

@@ -158,7 +158,6 @@ class ReferenceBackend:
     def __init__(self, query: str, aspects: SubAspectList, candidates: list[Candidate]):
         if not aspects.aspects:
             raise ValueError("aspects must be non-empty")
-        self.query = query
         self.aspects = aspects
         # term ids in order of first appearance over query, aspects and pool;
         # phi reads only which tokens are equal, so it is scored on the ids
@@ -170,7 +169,7 @@ class ReferenceBackend:
         self.encodings = _unit_tf_rows(self._doc_ids, dim)
         self.aspect_vectors = _unit_tf_rows([query_ids + ids for ids in aspect_ids], dim)
         self._aspect_profiles = [Profile(ids) for ids in aspect_ids]
-        self._coverage: dict[int, list[float]] = {}  # pool index -> phi row
+        self._coverage: dict[int, list[float]] = {}  # pool position -> phi row
 
     def step_scores(self, selected) -> np.ndarray:
         for i in selected:

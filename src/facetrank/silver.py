@@ -51,7 +51,7 @@ def coverage_gain(doc_text: str, w: list[float], sub_answers: list[str]) -> floa
 
 
 def build_silver_list(pool: CandidatePool, sub_answers: list[str], k: int) -> SilverTarget:
-    """Greedy argmax of the coverage utility, ties by lowest pool_index.
+    """Greedy argmax of the coverage utility, ties by lowest pool position.
 
     The coverage of every sub-answer by every pool document is computed once;
     each step reads it for the weights and for the gains.

@@ -152,11 +152,6 @@ def phi(candidate_text: str, reference_text: str) -> float:
     return phi_profiles(profile(candidate_text), profile(reference_text))
 
 
-def phi_tokens(cand: list[str], ref: list[str]) -> float:
-    """phi on token sequences that are already tokenized."""
-    return phi_profiles(Profile(cand), Profile(ref))
-
-
 def phi_matrix(texts: list[str], references: list[str]) -> list[list[float]]:
     """Rows of phi: out[i][j] == phi(texts[i], references[j]).
 
@@ -166,19 +161,19 @@ def phi_matrix(texts: list[str], references: list[str]) -> list[list[float]]:
     return [[phi_profiles(cand, ref) for ref in refs] for cand in map(profile, texts)]
 
 
-def com_rouge_profiles(response: Profile, sub_answers: list[Profile]) -> float:
-    """com_rouge on profiles."""
+def length_weighted(score, response: Profile, sub_answers: list[Profile]) -> float:
+    """Sum of score(response, sub-answer), each sub-answer weighted by its
+    token count over all of theirs, so the weights sum to 1.
+
+    Raises ValueError when the sub-answers hold no token.
+    """
     total = sum(len(ref.tokens) for ref in sub_answers)
     if total == 0:
         raise ValueError("degenerate sub-answers")
-    return sum((len(ref.tokens) / total) * phi_profiles(response, ref)
-               for ref in sub_answers)
+    return sum((len(ref.tokens) / total) * score(response, ref) for ref in sub_answers)
 
 
 def com_rouge(response: str, sub_answers: list[str]) -> float:
-    """Length-weighted coverage of a response over sub-answers.
-
-    Each sub-answer is weighted by its token count normalized over all
-    sub-answers, so the weights sum to 1.
-    """
-    return com_rouge_profiles(profile(response), [profile(a) for a in sub_answers])
+    """Length-weighted phi coverage of a response over sub-answers."""
+    return length_weighted(phi_profiles, profile(response),
+                           [profile(a) for a in sub_answers])

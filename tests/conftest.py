@@ -19,8 +19,7 @@ def make_pool(texts, query="q", aspects=("a",), source="gold"):
     """Hand-built candidate pool: one candidate per text, aspect 0 for all."""
     aspect_list = SubAspectList(tuple(aspects), source=source)
     candidates = [
-        Candidate(pool_index=i, doc=Document(f"d{i}", "", t),
-                  aspect_set=(0,), best_rank={0: i + 1})
+        Candidate(doc=Document(f"d{i}", "", t), best_rank={0: i + 1})
         for i, t in enumerate(texts)
     ]
-    return CandidatePool(query, aspect_list, candidates, capacity=len(texts))
+    return CandidatePool(query, aspect_list, candidates)

@@ -1,8 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from facetrank.aspects import (ExplorerPrompt, SubAspectList, format_target,
-                               parse_aspects, predict_aspects)
+from facetrank.aspects import SubAspectList, format_target, parse_aspects, predict_aspects
 
 
 def aspects(*names, source="predicted"):
@@ -53,26 +52,29 @@ def test_format_parse_roundtrip(names):
 class StubClient:
     def __init__(self, *responses):
         self.responses = list(responses)
+        self.prompts = []
 
     def complete(self, prompt, max_tokens):
+        self.prompts.append(prompt)
         return self.responses.pop(0)
 
 
 def test_predict_aspects_parses_completion():
-    got = predict_aspects("who is x", ExplorerPrompt(), StubClient("[x][y]"))
+    client = StubClient("[x][y]")
+    got = predict_aspects("who is x", client)
     assert got.aspects == ("x", "y")
     assert got.source == "predicted"
+    assert client.prompts == ["List the sub-aspects of the question: who is x"]
 
 
 def test_predict_aspects_fallback_after_retry():
-    got = predict_aspects("who is x", ExplorerPrompt(),
-                          StubClient("garbage", "garbage"))
+    got = predict_aspects("who is x", StubClient("garbage", "garbage"))
     assert got.aspects == ("who is x",)
     assert got.source == "fallback"
 
 
 def test_predict_aspects_retry_succeeds():
-    got = predict_aspects("q", ExplorerPrompt(), StubClient("junk", "[fine]"))
+    got = predict_aspects("q", StubClient("junk", "[fine]"))
     assert got.aspects == ("fine",)
 
 
@@ -82,14 +84,7 @@ def test_predict_aspects_transport_error_propagates():
             raise RuntimeError("connection refused")
 
     with pytest.raises(RuntimeError, match="connection refused"):
-        predict_aspects("q", ExplorerPrompt(), FailingClient())
-
-
-def test_prompt_placeholder_validation():
-    with pytest.raises(ValueError):
-        ExplorerPrompt("no placeholder")
-    with pytest.raises(ValueError):
-        ExplorerPrompt("{query} twice {query}")
+        predict_aspects("q", FailingClient())
 
 
 def test_sub_aspect_list_validation():

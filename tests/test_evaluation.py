@@ -21,6 +21,11 @@ def test_evaluate_response_empty():
     assert all(v == 0.0 for v in m.values())
 
 
+def test_evaluate_response_rejects_degenerate_sub_answers():
+    with pytest.raises(ValueError, match="degenerate sub-answers"):
+        evaluate_response("some response", "an answer", ["...", "!!!", "?"])
+
+
 def test_evaluate_response_matches_bruteforce():
     subs = ["alpha beta gamma", "delta eps"]
     answer = " ".join(subs)

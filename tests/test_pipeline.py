@@ -149,6 +149,15 @@ def test_load_dataset_misaligned(tmp_path):
         load_dataset(str(path))
 
 
+def test_load_dataset_rejects_sub_answer_without_token(tmp_path):
+    path = tmp_path / "ds.jsonl"
+    _write_jsonl(path, [_record(), _record("r2", answer="... !!! ?",
+                                           sub_aspects=["one", "two", "three"],
+                                           sub_answers=["...", "!!!", "?"])])
+    with pytest.raises(ValueError, match="record r2: sub-answer 0 has no token"):
+        load_dataset(str(path))
+
+
 def test_load_dataset_warns_on_few_aspects(tmp_path, caplog):
     path = tmp_path / "ds.jsonl"
     _write_jsonl(path, [_record(sub_aspects=["one"], sub_answers=["first part. second part"])])
@@ -304,17 +313,15 @@ def test_stage_alone_rejects_duplicate_doc_id(tmp_path, synthetic_paths, small_c
         run_stage("pool", small_config, dataset, duplicated, out)
 
 
-def test_eval_means_skip_undefined_metrics(tmp_path, synthetic_paths, small_config):
-    dataset, corpus = synthetic_paths
-    with open(dataset, encoding="utf-8") as fh:
-        two = str(tmp_path / "dataset.jsonl")
-        with open(two, "w", encoding="utf-8") as out_fh:
-            out_fh.writelines([fh.readline(), fh.readline()])
-    out = str(tmp_path / "run")
-    for stage in STAGES[:-1]:
-        run_stage(stage, small_config, two, corpus, out)
-    # one retrieved document for the second query: its rrf list is shorter
-    # than k, so ncom is undefined for it
+def _first_two_records(tmp_path, dataset):
+    two = str(tmp_path / "dataset.jsonl")
+    with open(dataset, encoding="utf-8") as fh, open(two, "w", encoding="utf-8") as out_fh:
+        out_fh.writelines([fh.readline(), fh.readline()])
+    return two
+
+
+def _cut_second_query_to_one_doc(out):
+    """Keep one retrieved document for the second query of retrieve.jsonl."""
     path = os.path.join(out, "retrieve.jsonl")
     with open(path, encoding="utf-8") as fh:
         lines = fh.readlines()
@@ -323,6 +330,17 @@ def test_eval_means_skip_undefined_metrics(tmp_path, synthetic_paths, small_conf
     lines[2] = json.dumps(row) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(lines)
+    return row["id"]
+
+
+def test_eval_means_skip_undefined_metrics(tmp_path, synthetic_paths, small_config):
+    dataset, corpus = synthetic_paths
+    two = _first_two_records(tmp_path, dataset)
+    out = str(tmp_path / "run")
+    for stage in STAGES[:-1]:
+        run_stage(stage, small_config, two, corpus, out)
+    # the second query's rrf list is then shorter than k, so ncom is undefined for it
+    _cut_second_query_to_one_doc(out)
     report = run_stage("eval", small_config, two, corpus, out)["report"]
     first, second = report["per_query"].values()
     assert "ncom" in first["rrf"] and "ncom" not in second["rrf"]
@@ -330,6 +348,29 @@ def test_eval_means_skip_undefined_metrics(tmp_path, synthetic_paths, small_conf
     assert report["mean_counts"]["rrf"]["ncom"] == 1
     assert report["mean_counts"]["rrf"]["f1"] == 2
     assert report["mean_counts"]["ranked"]["ncom"] == 2
+
+
+def test_query_failure_is_recorded_and_skipped(tmp_path, synthetic_paths, small_config):
+    dataset, corpus = synthetic_paths
+    two = _first_two_records(tmp_path, dataset)
+    out = str(tmp_path / "run")
+    for stage in ("index", "aspects", "retrieve"):
+        run_stage(stage, small_config, two, corpus, out)
+    # a pool of one document is smaller than k, so each query stage fails it
+    failed = _cut_second_query_to_one_doc(out)
+    assert failed == "q01"
+    run_stage("pool", small_config, two, corpus, out)
+    errors = {"silver": "k exceeds pool size", "rank": "k exceeds pool",
+              "pairs": "k exceeds pool"}
+    for stage, error in errors.items():
+        stats = run_stage(stage, small_config, two, corpus, out)
+        assert stats["failures"] == [{"id": failed, "error": error}]
+        with open(os.path.join(out, f"{stage}.jsonl"), encoding="utf-8") as fh:
+            rows = [json.loads(line) for line in fh][1:]
+        assert {r["query_id"] for r in rows} == {"q00"}
+    report = run_stage("eval", small_config, two, corpus, out)["report"]
+    assert report["skipped"] == [failed]
+    assert list(report["per_query"]) == ["q00"]
 
 
 def test_shared_and_fresh_inputs_write_identical_artifacts(tmp_path, synthetic_paths,

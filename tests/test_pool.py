@@ -22,7 +22,7 @@ def test_merge_dedups_and_collects_aspects():
     pool = merge_pool("q", aspects(3), lists, 10, doc_map("d", "x", "y", "z"))
     first = pool.candidates[0]
     assert first.doc.doc_id == "d"
-    assert first.aspect_set == (0, 2)
+    assert pool_to_dict("qid", pool)["candidates"][0]["aspect_set"] == [0, 2]
     assert first.best_rank == {0: 1, 2: 1}
 
 
@@ -30,7 +30,8 @@ def test_merge_interleave_order_and_capacity():
     lists = as_lists(["a", "b", "c"], ["x", "y", "z"])
     pool = merge_pool("q", aspects(2), lists, 4, doc_map("a", "b", "c", "x", "y", "z"))
     assert [c.doc.doc_id for c in pool.candidates] == ["a", "x", "b", "y"]
-    assert [c.pool_index for c in pool.candidates] == [0, 1, 2, 3]
+    assert [c["pool_index"] for c in pool_to_dict("qid", pool)["candidates"]] == \
+        [0, 1, 2, 3]
 
 
 def test_merge_single_list_preserves_order():
@@ -59,9 +60,9 @@ def test_merge_aspect_set_updated_beyond_capacity():
     # be recorded even after the pool is full
     lists = as_lists(["a", "b"], ["c", "a"])
     pool = merge_pool("q", aspects(2), lists, 2, doc_map("a", "b", "c"))
-    by_id = {c.doc.doc_id: c for c in pool.candidates}
-    assert by_id["a"].aspect_set == (0, 1)
-    assert by_id["a"].best_rank == {0: 1, 1: 2}
+    by_id = {c["doc_id"]: c for c in pool_to_dict("qid", pool)["candidates"]}
+    assert by_id["a"]["aspect_set"] == [0, 1]
+    assert by_id["a"]["best_rank"] == {"0": 1, "1": 2}
 
 
 def test_merge_determinism():
@@ -99,10 +100,9 @@ def test_pool_serialization_roundtrip():
     pool = merge_pool("the query", aspects(2), lists, 10, dm)
     obj = pool_to_dict("q1", pool)
     assert obj["query_id"] == "q1"
-    restored = pool_from_dict(obj, "the query", "gold", 10, dm)
+    restored = pool_from_dict(obj, "the query", "gold", dm)
     assert [c.doc.doc_id for c in restored.candidates] == \
         [c.doc.doc_id for c in pool.candidates]
-    assert [c.aspect_set for c in restored.candidates] == \
-        [c.aspect_set for c in pool.candidates]
     assert [c.best_rank for c in restored.candidates] == \
         [c.best_rank for c in pool.candidates]
+    assert pool_to_dict("q1", restored) == obj

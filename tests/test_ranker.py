@@ -25,8 +25,7 @@ class StubBackend:
 
 
 def candidate(i, text, aspect_set=(0,)):
-    return Candidate(i, Document(f"d{i}", "", text), tuple(aspect_set),
-                     {a: 1 for a in aspect_set})
+    return Candidate(Document(f"d{i}", "", text), {a: 1 for a in aspect_set})
 
 
 # The ranker's distribution at one decode step is masked_softmax over that
