@@ -1,0 +1,111 @@
+"""Check that two source trees write byte-identical pipeline artifacts.
+
+    python3 scripts/compare_artifacts.py PARENT_TREE CHANGE_TREE
+
+Each tree is a checkout of this repository. The inputs are made once: the
+shipped fixture under data/synthetic (default config), and the
+coverage-heavy, retrieval-heavy and long-list workloads of
+perfbench/workloads.py at seed 7 (their own configs). Each tree then runs,
+in its own subprocess with PYTHONPATH=<tree>/src, `run_pipeline` and a
+stage-by-stage run (`run_stage` per stage, each reading the inputs itself)
+on every input. Every file the two trees wrote is compared byte for byte,
+headers included; the script lists the files that differ or exist on one
+side only and exits 1 if there are any.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+import workloads  # noqa: E402
+
+WORKLOADS = ("coverage-heavy", "retrieval-heavy", "long-list")
+SEED = 7
+
+# run in each tree: argv[1] is the tree's src directory, argv[2] the jobs
+CHILD = """
+import json, os, sys
+from facetrank import pipeline
+if not os.path.abspath(pipeline.__file__).startswith(os.path.abspath(sys.argv[1])):
+    sys.exit(f"facetrank imported from {pipeline.__file__}, not {sys.argv[1]}")
+for job in json.loads(sys.argv[2]):
+    config = pipeline.load_config(None, **job["config"])
+    paths = (job["dataset"], job["corpus"])
+    pipeline.run_pipeline(config, *paths, os.path.join(job["out"], "pipeline"))
+    for stage in pipeline.STAGES:
+        pipeline.run_stage(stage, config, *paths, os.path.join(job["out"], "stages"))
+"""
+
+
+def make_inputs(work: str) -> list[dict]:
+    """Write every input once; one job (name, paths, config) per input."""
+    fixture = os.path.join(work, "inputs", "fixture")
+    os.makedirs(fixture)
+    for name in ("dataset.jsonl", "corpus.jsonl"):
+        shutil.copy(os.path.join(ROOT, "data", "synthetic", name), fixture)
+    jobs = [{"name": "fixture", "dataset": os.path.join(fixture, "dataset.jsonl"),
+             "corpus": os.path.join(fixture, "corpus.jsonl"), "config": {}}]
+    for name in WORKLOADS:
+        shape = workloads.WORKLOADS[name]
+        dataset, corpus = workloads.generate(shape, SEED,
+                                             os.path.join(work, "inputs", name))
+        jobs.append({"name": name, "dataset": dataset, "corpus": corpus,
+                     "config": shape.config})
+    return jobs
+
+
+def run_tree(tree: str, jobs: list[dict], out: str) -> None:
+    src = os.path.join(os.path.abspath(tree), "src")
+    tree_jobs = [{**job, "out": os.path.join(out, job["name"])} for job in jobs]
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", CHILD, src, json.dumps(tree_jobs)],
+                   env=env, cwd=out, check=True)
+
+
+def _files(top: str) -> set[str]:
+    return {os.path.relpath(os.path.join(d, f), top)
+            for d, _, names in os.walk(top) for f in names}
+
+
+def compare(dir_a: str, dir_b: str) -> tuple[int, list[str]]:
+    """Number of files compared, and the files that differ or exist once."""
+    files_a, files_b = _files(dir_a), _files(dir_b)
+    differ = sorted(f"only in {'parent' if f in files_a else 'change'}: {f}"
+                    for f in files_a ^ files_b)
+    for rel in sorted(files_a & files_b):
+        with open(os.path.join(dir_a, rel), "rb") as fa, \
+                open(os.path.join(dir_b, rel), "rb") as fb:
+            if fa.read() != fb.read():
+                differ.append(f"differs: {rel}")
+    return len(files_a | files_b), differ
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print("usage: compare_artifacts.py PARENT_TREE CHANGE_TREE", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory(prefix="compare-artifacts-") as work:
+        jobs = make_inputs(work)
+        outs = []
+        for label, tree in zip(("parent", "change"), argv):
+            out = os.path.join(work, label)
+            os.makedirs(out)
+            run_tree(tree, jobs, out)
+            outs.append(out)
+        total, differ = compare(*outs)
+    for line in differ:
+        print(line)
+    print(f"{total - len(differ)} of {total} files byte-identical")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -37,7 +37,6 @@ class InvertedIndex:
     doc_pos: np.ndarray  # position in doc_ids, ascending within a row
     tf: np.ndarray  # float64 term frequency
     doc_ids: list[str]  # corpus order
-    doc_length: np.ndarray  # tokens per document
     norm: np.ndarray  # k1 * (1 - b + b * length / avg_doc_length)
     rank: np.ndarray  # position -> rank of its doc_id in string order
     doc_count: int
@@ -106,7 +105,7 @@ def build_index(documents, k1: float = 1.2, b: float = 0.75) -> InvertedIndex:
     rank = np.empty(n, dtype=np.intp)
     rank[sorted(range(n), key=doc_ids.__getitem__)] = np.arange(n)
     return InvertedIndex(dict(terms), indptr, doc_pos, tf,
-                         doc_ids, np.array(lengths), norm, rank, n, avg, k1=k1, b=b)
+                         doc_ids, norm, rank, n, avg, k1=k1, b=b)
 
 
 def _idf(index: InvertedIndex, t: int) -> float:

@@ -28,20 +28,6 @@ from .text_metrics import tokenize
 
 log = logging.getLogger(__name__)
 
-STAGES = ("index", "aspects", "retrieve", "pool", "silver", "rank", "pairs", "eval")
-
-_ARTIFACTS = {
-    "index": "index.json",
-    "aspects": "aspects.jsonl",
-    "retrieve": "retrieve.jsonl",
-    "pool": "pool.jsonl",
-    "silver": "silver.jsonl",
-    "rank": "rank.jsonl",
-    "pairs": "pairs.jsonl",
-    "eval": "report.json",
-}
-
-
 @dataclass(frozen=True)
 class DatasetRecord:
     id: str
@@ -88,11 +74,12 @@ class RunConfig:
         for name in ("tau", "beta", "k_rrf", "timeout"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("mu", "retries"):
+        for name in ("mu", "retries", "bm25_k1"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        if not 0 <= self.relevance_threshold <= 1:
-            raise ValueError("relevance_threshold must lie in [0, 1]")
+        for name in ("relevance_threshold", "bm25_b"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ValueError(f"{name} must lie in [0, 1]")
         if any(c < 1 for c in self.ndcg_cutoffs):
             raise ValueError("ndcg_cutoffs must be >= 1")
 
@@ -138,8 +125,13 @@ def load_dataset(path: str) -> list[DatasetRecord]:
                 raise ValueError(f"record {rec.id}: sub_aspects and sub_answers "
                                  "must be aligned and non-empty")
             for i, sub_answer in enumerate(rec.sub_answers):
+                if not rec.sub_aspects[i].strip():
+                    raise ValueError(f"record {rec.id}: sub-aspect {i} is blank")
                 if not tokenize(sub_answer):
                     raise ValueError(f"record {rec.id}: sub-answer {i} has no token")
+            for field in ("question", "answer"):
+                if not tokenize(getattr(rec, field)):
+                    raise ValueError(f"record {rec.id}: {field} has no token")
             if len(rec.sub_aspects) < 2:
                 log.warning("record %s has fewer than 2 sub-aspects", rec.id)
             if _squash(rec.answer) != _squash(" ".join(rec.sub_answers)):
@@ -200,7 +192,7 @@ class RunInputs:
 
 
 def _artifact_path(out_dir: str, stage: str) -> str:
-    return os.path.join(out_dir, _ARTIFACTS[stage])
+    return os.path.join(out_dir, _STAGES[stage][1])
 
 
 def _dump(obj) -> str:
@@ -310,15 +302,10 @@ def _stage_pool(config, inputs, out_dir):
 
 
 def _load_pools(out_dir: str, inputs: RunInputs) -> dict[str, CandidatePool]:
-    aspects = _load_aspects(out_dir, inputs)
-    rows = _read_rows(out_dir, "pool", inputs)
-    by_id = {rec.id: rec for rec in inputs.records}
-    pools = {}
-    for row in rows:
-        rec = by_id[row["query_id"]]
-        pools[rec.id] = pool_from_dict(row, rec.question, aspects[rec.id].source,
-                                       inputs.documents)
-    return pools
+    questions = {rec.id: rec.question for rec in inputs.records}
+    return {row["query_id"]: pool_from_dict(row, questions[row["query_id"]],
+                                            inputs.documents)
+            for row in _read_rows(out_dir, "pool", inputs)}
 
 
 def _per_query(stage: str, inputs: RunInputs, out_dir: str, job) -> dict:
@@ -506,16 +493,18 @@ def _write_summary(path: str, means: dict[str, dict[str, float]]) -> None:
                 fh.write(f"{system}\t{metric}\t{means[system][metric]:.6f}\n")
 
 
-_STAGE_FUNCS = {
-    "index": _stage_index,
-    "aspects": _stage_aspects,
-    "retrieve": _stage_retrieve,
-    "pool": _stage_pool,
-    "silver": _stage_silver,
-    "rank": _stage_rank,
-    "pairs": _stage_pairs,
-    "eval": _stage_eval,
+# stage name -> (job, artifact file), in run order
+_STAGES = {
+    "index": (_stage_index, "index.json"),
+    "aspects": (_stage_aspects, "aspects.jsonl"),
+    "retrieve": (_stage_retrieve, "retrieve.jsonl"),
+    "pool": (_stage_pool, "pool.jsonl"),
+    "silver": (_stage_silver, "silver.jsonl"),
+    "rank": (_stage_rank, "rank.jsonl"),
+    "pairs": (_stage_pairs, "pairs.jsonl"),
+    "eval": (_stage_eval, "report.json"),
 }
+STAGES = tuple(_STAGES)
 
 
 def run_stage(stage: str, config: RunConfig, dataset_path: str,
@@ -527,14 +516,14 @@ def run_stage(stage: str, config: RunConfig, dataset_path: str,
     made from the same config and paths. Without it the stage reads the
     inputs itself.
     """
-    if stage not in _STAGE_FUNCS:
+    if stage not in _STAGES:
         raise ValueError(f"unknown stage: {stage!r}")
     if inputs is None:
         inputs = RunInputs(config, dataset_path, corpus_path)
     elif (inputs.config, inputs.paths) != (config, (dataset_path, corpus_path)):
         raise ValueError("inputs were made from another config or other paths")
     os.makedirs(out_dir, exist_ok=True)
-    return _STAGE_FUNCS[stage](config, inputs, out_dir)
+    return _STAGES[stage][0](config, inputs, out_dir)
 
 
 def run_pipeline(config: RunConfig, dataset_path: str, corpus_path: str,

@@ -23,7 +23,7 @@ class Candidate:
 @dataclass
 class CandidatePool:
     query: str
-    aspects: SubAspectList
+    aspects: tuple[str, ...]  # aspect texts, in aspect-index order
     candidates: list[Candidate]  # in admission order
 
 
@@ -59,7 +59,7 @@ def merge_pool(query: str, aspects: SubAspectList,
                 admitted[doc_id] = Candidate(documents[doc_id], {aspect_idx: pos + 1})
             elif aspect_idx not in cand.best_rank:
                 cand.best_rank[aspect_idx] = pos + 1
-    return CandidatePool(query, aspects, list(admitted.values()))
+    return CandidatePool(query, aspects.aspects, list(admitted.values()))
 
 
 def pool_to_dict(query_id: str, pool: CandidatePool) -> dict:
@@ -70,7 +70,7 @@ def pool_to_dict(query_id: str, pool: CandidatePool) -> dict:
     """
     return {
         "query_id": query_id,
-        "aspects": list(pool.aspects.aspects),
+        "aspects": list(pool.aspects),
         "candidates": [
             {
                 "pool_index": i,
@@ -83,12 +83,11 @@ def pool_to_dict(query_id: str, pool: CandidatePool) -> dict:
     }
 
 
-def pool_from_dict(obj: dict, query: str, source: str,
+def pool_from_dict(obj: dict, query: str,
                    documents: dict[str, Document]) -> CandidatePool:
-    aspects = SubAspectList(tuple(obj["aspects"]), source=source)
     candidates = [
         Candidate(documents[c["doc_id"]],
                   {int(k): v for k, v in c["best_rank"].items()})
         for c in obj["candidates"]
     ]
-    return CandidatePool(query, aspects, candidates)
+    return CandidatePool(query, tuple(obj["aspects"]), candidates)

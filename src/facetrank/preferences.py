@@ -16,8 +16,7 @@ from dataclasses import dataclass, replace
 from .aspects import post_json
 from .pool import CandidatePool
 from .ranker import RankerConfig, RankingList, rank
-from .text_metrics import (clipped_overlap, f1_of, length_weighted, phi_profiles,
-                           profile, tokenize)
+from .text_metrics import clipped_overlap, com_rouge, f1_of, phi, tokenize
 
 
 @dataclass
@@ -41,9 +40,7 @@ def reward(response: str, answer: str, sub_answers: list[str]) -> float:
         raise ValueError("answer must be non-empty")
     if not response:
         return 0.0
-    resp = profile(response)
-    return phi_profiles(resp, profile(answer)) + length_weighted(
-        phi_profiles, resp, [profile(a) for a in sub_answers])
+    return phi(response, answer) + com_rouge(response, sub_answers)
 
 
 _SENTENCE_RE = re.compile(r"[.!?]+")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aspects import SubAspectList, post_json
+from .aspects import post_json
 from .pool import Candidate, CandidatePool
 from .silver import weights_from_rows
 from .text_metrics import Profile, phi_profiles, tokenize
@@ -155,15 +155,14 @@ class ReferenceBackend:
     sub-answers that are unavailable at inference time).
     """
 
-    def __init__(self, query: str, aspects: SubAspectList, candidates: list[Candidate]):
-        if not aspects.aspects:
+    def __init__(self, query: str, aspects: tuple[str, ...], candidates: list[Candidate]):
+        if not aspects:
             raise ValueError("aspects must be non-empty")
-        self.aspects = aspects
         # term ids in order of first appearance over query, aspects and pool;
         # phi reads only which tokens are equal, so it is scored on the ids
         vocab = defaultdict(itertools.count().__next__)
         query_ids = [vocab[t] for t in tokenize(query)]
-        aspect_ids = [[vocab[t] for t in tokenize(a)] for a in aspects.aspects]
+        aspect_ids = [[vocab[t] for t in tokenize(a)] for a in aspects]
         self._doc_ids = [[vocab[t] for t in tokenize(c.doc.text)] for c in candidates]
         dim = max(len(vocab), 1)
         self.encodings = _unit_tf_rows(self._doc_ids, dim)
@@ -177,7 +176,7 @@ class ReferenceBackend:
                 doc = Profile(self._doc_ids[i])
                 self._coverage[i] = [phi_profiles(doc, a) for a in self._aspect_profiles]
         w = weights_from_rows([self._coverage[i] for i in selected],
-                              len(self.aspects.aspects))
+                              len(self._aspect_profiles))
         h = np.zeros(self.encodings.shape[1])
         for wj, vj in zip(w, self.aspect_vectors):
             h += wj * vj
@@ -204,7 +203,7 @@ def _unit_tf_rows(rows: list[list[int]], dim: int) -> np.ndarray:
     return np.divide(tf, norm, out=tf, where=norm > 0)
 
 
-def reference_backend(query: str, aspects: SubAspectList,
+def reference_backend(query: str, aspects: tuple[str, ...],
                       candidates: list[Candidate]) -> ReferenceBackend:
     return ReferenceBackend(query, aspects, candidates)
 
@@ -219,13 +218,13 @@ class RemoteBackend:
 
     endpoint: str
     query: str
-    aspects: SubAspectList
+    aspects: tuple[str, ...]
     candidate_texts: list[str]
     timeout: float = 30.0
     retries: int = 1
 
     def step_scores(self, selected) -> np.ndarray:
-        payload = {"query": self.query, "aspects": list(self.aspects.aspects),
+        payload = {"query": self.query, "aspects": list(self.aspects),
                    "candidates": self.candidate_texts, "selected": list(selected)}
         scores = post_json(self.endpoint, payload, self.timeout, self.retries)["scores"]
         if len(scores) != len(self.candidate_texts):

@@ -2,7 +2,6 @@ import os
 
 import pytest
 
-from facetrank.aspects import SubAspectList
 from facetrank.corpus import Document
 from facetrank.pool import Candidate, CandidatePool
 
@@ -15,11 +14,10 @@ def synthetic_paths():
             os.path.join(DATA_DIR, "corpus.jsonl"))
 
 
-def make_pool(texts, query="q", aspects=("a",), source="gold"):
+def make_pool(texts, query="q", aspects=("a",)):
     """Hand-built candidate pool: one candidate per text, aspect 0 for all."""
-    aspect_list = SubAspectList(tuple(aspects), source=source)
     candidates = [
         Candidate(doc=Document(f"d{i}", "", t), best_rank={0: i + 1})
         for i, t in enumerate(texts)
     ]
-    return CandidatePool(query, aspect_list, candidates)
+    return CandidatePool(query, tuple(aspects), candidates)

@@ -36,9 +36,11 @@ def test_avg_doc_length_single_doc():
 
 
 def test_avg_doc_length_is_mean():
-    index = build_index(docs("a b", "a b c d"))
+    documents = docs("a b", "a b c d")
+    index = build_index(documents)
+    _postings, doc_lengths = dict_build_index(documents)
     assert math.isclose(index.avg_doc_length,
-                        sum(index.doc_length) / index.doc_count,
+                        sum(doc_lengths.values()) / index.doc_count,
                         abs_tol=1e-9)
 
 

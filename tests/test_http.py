@@ -11,7 +11,7 @@ from time import sleep
 
 import pytest
 
-from facetrank.aspects import HttpLlmClient, SubAspectList, post_json
+from facetrank.aspects import HttpLlmClient, post_json
 from facetrank.pipeline import RunConfig, _make_backend
 from facetrank.preferences import HttpGenerator
 from facetrank.ranker import RemoteBackend
@@ -71,7 +71,7 @@ def _generator(url, retries):
 
 
 def _backend(url, retries):
-    backend = RemoteBackend(url, "q", SubAspectList(("a",)), ["x", "y"], timeout=5,
+    backend = RemoteBackend(url, "q", ("a",), ["x", "y"], timeout=5,
                             retries=retries)
     return list(backend.step_scores([1]))
 
@@ -117,7 +117,7 @@ def test_bad_json_is_retried(server):
 
 def test_wrong_score_count_is_not_retried(server):
     server.script += [reply({"scores": [0.5]})]
-    backend = RemoteBackend(server.url, "q", SubAspectList(("a",)), ["x", "y"],
+    backend = RemoteBackend(server.url, "q", ("a",), ["x", "y"],
                             timeout=5, retries=3)
     with pytest.raises(ValueError, match="wrong score count"):
         backend.step_scores([])

@@ -73,6 +73,9 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     ("relevance_threshold", -0.1),
     ("relevance_threshold", 1.5),
     ("ndcg_cutoffs", (1, 0)),
+    ("bm25_k1", -1.0),
+    ("bm25_b", -0.1),
+    ("bm25_b", 1.5),
 ])
 def test_config_rejects_bad_values(field, value):
     with pytest.raises(ValueError, match=field):
@@ -91,6 +94,8 @@ def test_config_accepts_boundary_values():
                     aspect_mode="predicted", ablation="random-pairs")
     assert cfg.k == 1
     assert RunConfig(relevance_threshold=1.0, ablation="no-sa").relevance_threshold == 1.0
+    assert RunConfig(bm25_k1=0.0, bm25_b=0.0).bm25_b == 0.0
+    assert RunConfig(bm25_b=1.0).bm25_b == 1.0
 
 
 def test_fingerprint_stable_and_sensitive():
@@ -155,6 +160,19 @@ def test_load_dataset_rejects_sub_answer_without_token(tmp_path):
                                            sub_aspects=["one", "two", "three"],
                                            sub_answers=["...", "!!!", "?"])])
     with pytest.raises(ValueError, match="record r2: sub-answer 0 has no token"):
+        load_dataset(str(path))
+
+
+@pytest.mark.parametrize("over,message", [
+    ({"question": "???"}, "record r2: question has no token"),
+    ({"question": "???", "sub_aspects": ["one", "!!!"]}, "record r2: question has no token"),
+    ({"answer": "..."}, "record r2: answer has no token"),
+    ({"sub_aspects": ["one", "  "]}, "record r2: sub-aspect 1 is blank"),
+])
+def test_load_dataset_rejects_record_without_text(tmp_path, over, message):
+    path = tmp_path / "ds.jsonl"
+    _write_jsonl(path, [_record(), _record("r2", **over)])
+    with pytest.raises(ValueError, match=message):
         load_dataset(str(path))
 
 
@@ -381,6 +399,21 @@ def test_shared_and_fresh_inputs_write_identical_artifacts(tmp_path, synthetic_p
     for stage in STAGES:
         run_stage(stage, small_config, dataset, corpus, fresh)
     _assert_same_files(shared, fresh)
+
+
+def test_stages_after_pool_run_without_aspects_artifact(tmp_path, synthetic_paths,
+                                                        small_config):
+    dataset, corpus = synthetic_paths
+    full, staged = tmp_path / "full", tmp_path / "staged"
+    run_pipeline(small_config, dataset, corpus, str(full))
+    after_pool = STAGES.index("pool") + 1
+    for stage in STAGES[:after_pool]:
+        run_stage(stage, small_config, dataset, corpus, str(staged))
+    os.remove(staged / "aspects.jsonl")
+    for stage in STAGES[after_pool:]:
+        run_stage(stage, small_config, dataset, corpus, str(staged))
+    os.remove(full / "aspects.jsonl")
+    _assert_same_files(str(full), str(staged))
 
 
 def test_run_stage_rejects_inputs_of_another_config(tmp_path, synthetic_paths,

@@ -100,7 +100,8 @@ def test_pool_serialization_roundtrip():
     pool = merge_pool("the query", aspects(2), lists, 10, dm)
     obj = pool_to_dict("q1", pool)
     assert obj["query_id"] == "q1"
-    restored = pool_from_dict(obj, "the query", "gold", dm)
+    restored = pool_from_dict(obj, "the query", dm)
+    assert restored.aspects == pool.aspects == ("aspect0", "aspect1")
     assert [c.doc.doc_id for c in restored.candidates] == \
         [c.doc.doc_id for c in pool.candidates]
     assert [c.best_rank for c in restored.candidates] == \

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from conftest import make_pool
-from facetrank.aspects import SubAspectList
 from facetrank.corpus import Document
 from facetrank.pool import Candidate
 from facetrank.ranker import (RankerConfig, UniformBackend, masked_softmax, rank,
@@ -178,7 +177,7 @@ def test_backend_exchangeability():
 
 
 def test_reference_backend_prefers_aspect_terms():
-    asp = SubAspectList(("solar panels",), source="gold")
+    asp = ("solar panels",)
     cands = [candidate(0, "solar panels on roofs"),
              candidate(1, "unrelated words entirely")]
     backend = reference_backend("energy", asp, cands)
@@ -188,7 +187,7 @@ def test_reference_backend_prefers_aspect_terms():
 
 def test_reference_backend_weight_shift_after_coverage():
     # doc 0 fully covers aspect 1's text and none of aspect 2's
-    asp = SubAspectList(("red apples fresh", "green pears ripe"), source="gold")
+    asp = ("red apples fresh", "green pears ripe")
     cands = [candidate(0, "red apples fresh", (0,)),
              candidate(1, "green pears ripe", (1,)),
              candidate(2, "red apples fresh again", (0,))]
@@ -200,7 +199,7 @@ def test_reference_backend_weight_shift_after_coverage():
 
 
 def test_reference_backend_identical_candidates_tiebreak():
-    asp = SubAspectList(("same words",), source="gold")
+    asp = ("same words",)
     cands = [candidate(0, "same words here"), candidate(1, "same words here")]
     pool = make_pool(["same words here", "same words here"],
                      query="q", aspects=("same words",))
@@ -210,7 +209,7 @@ def test_reference_backend_identical_candidates_tiebreak():
 
 
 def test_reference_backend_reuse_matches_fresh_backend():
-    asp = SubAspectList(("red apples", "green pears", "blue plums"), source="gold")
+    asp = ("red apples", "green pears", "blue plums")
     texts = ["red apples fresh", "green pears ripe", "red apples green pears",
              "blue plums", "nothing here", "plums pears apples"]
     cands = [candidate(i, t) for i, t in enumerate(texts)]
@@ -220,7 +219,7 @@ def test_reference_backend_reuse_matches_fresh_backend():
     for prefix in prefixes:
         fresh = reference_backend("fruit", asp, cands)
         assert np.array_equal(reused.step_scores(prefix), fresh.step_scores(prefix))
-    pool = make_pool(texts, query="fruit", aspects=asp.aspects)
+    pool = make_pool(texts, query="fruit", aspects=asp)
     cfg = RankerConfig(k=6, tau=0.5, allow_repetition=True, seed=3)
     out = rank(pool, cfg, reused, mode="sampled")
     for t in range(cfg.k):
@@ -237,13 +236,13 @@ class LoopReferenceBackend:
         self.aspects = aspects
         self.texts = [c.doc.text for c in candidates]
         vocab = {}
-        for text in [query, *aspects.aspects, *self.texts]:
+        for text in [query, *aspects, *self.texts]:
             for tok in tokenize(text):
                 vocab.setdefault(tok, len(vocab))
         self.vocab = vocab
         self.encodings = (np.stack([self._unit_tf(t) for t in self.texts])
                           if self.texts else np.zeros((0, max(len(vocab), 1))))
-        self.aspect_vectors = [self._unit_tf(f"{query} {a}") for a in aspects.aspects]
+        self.aspect_vectors = [self._unit_tf(f"{query} {a}") for a in aspects]
 
     def _unit_tf(self, text):
         v = np.zeros(max(len(self.vocab), 1))
@@ -254,8 +253,8 @@ class LoopReferenceBackend:
         return v / norm if norm > 0 else v
 
     def step_scores(self, selected):
-        rows = [[phi(self.texts[i], a) for a in self.aspects.aspects] for i in selected]
-        w = weights_from_rows(rows, len(self.aspects.aspects))
+        rows = [[phi(self.texts[i], a) for a in self.aspects] for i in selected]
+        w = weights_from_rows(rows, len(self.aspects))
         h = np.zeros(max(len(self.vocab), 1))
         for wj, vj in zip(w, self.aspect_vectors):
             h += wj * vj
@@ -286,10 +285,15 @@ def test_reference_backend_equals_loop_backend():
         for mode in ("greedy", "sampled"):
             got, want = rank(pool, cfg, fast, mode), rank(pool, cfg, loop, mode)
             assert (got.docids, got.step_logprobs) == (want.docids, want.step_logprobs)
-    asp = SubAspectList(("a b",), source="gold")
+    asp = ("a b",)
     assert np.array_equal(reference_backend("q", asp, []).encodings,
                           LoopReferenceBackend("q", asp, []).encodings)
     assert reference_backend("q", asp, []).encodings.shape == (0, 3)
+
+
+def test_reference_backend_rejects_empty_aspects():
+    with pytest.raises(ValueError, match="aspects must be non-empty"):
+        reference_backend("q", (), [candidate(0, "text")])
 
 
 def test_ranker_config_validation():
