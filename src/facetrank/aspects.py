@@ -79,11 +79,15 @@ def predict_aspects(query: str, client, max_tokens: int = 256) -> SubAspectList:
     return SubAspectList((query,), source="fallback")
 
 
+class RemoteError(RuntimeError):
+    """A remote call that failed on every attempt."""
+
+
 def post_json(endpoint: str, payload: dict, timeout: float, retries: int) -> dict:
     """POST a JSON payload and return the decoded JSON reply.
 
     A transport error, an HTTP error status, a timeout or a reply that is
-    not JSON is retried; after retries + 1 failed attempts RuntimeError is
+    not JSON is retried; after retries + 1 failed attempts RemoteError is
     raised, chained to the last error.
     """
     import requests
@@ -96,7 +100,7 @@ def post_json(endpoint: str, payload: dict, timeout: float, retries: int) -> dic
             return resp.json()
         except requests.RequestException as err:
             last_err = err
-    raise RuntimeError(f"POST {endpoint} failed after {retries + 1} attempts: "
+    raise RemoteError(f"POST {endpoint} failed after {retries + 1} attempts: "
                        f"{last_err}") from last_err
 
 

@@ -11,7 +11,7 @@ import math
 
 from .pool import CandidatePool
 from .silver import weights_from_rows
-from .text_metrics import (length_weighted, phi_matrix, profile, rouge2_f1, rougel_f1,
+from .text_metrics import (PhiStore, length_weighted, profile, rouge2_f1, rougel_f1,
                            unigram_f1)
 
 
@@ -32,11 +32,17 @@ def evaluate_response(response: str, answer: str, sub_answers: list[str]) -> dic
     }
 
 
-def label_relevance(pool: CandidatePool, answer: str, threshold: float = 0.5) -> set[str]:
-    """Doc ids whose coverage of the gold answer strictly exceeds threshold."""
+def label_relevance(pool: CandidatePool, answer: str, threshold: float = 0.5,
+                    store: PhiStore | None = None) -> set[str]:
+    """Doc ids whose coverage of the gold answer strictly exceeds threshold.
+
+    The coverage is read from `store` when given (the answer must be one of
+    its references).
+    """
     if not 0 <= threshold <= 1:
         raise ValueError("threshold must lie in [0, 1]")
-    coverage = phi_matrix([c.doc.text for c in pool.candidates], [answer])
+    store = store or PhiStore([answer])
+    coverage = store.rows([c.doc.text for c in pool.candidates], [answer])
     return {c.doc.doc_id for c, (cov,) in zip(pool.candidates, coverage)
             if cov > threshold}
 
@@ -70,9 +76,12 @@ def ranking_metrics(ranked_docids: list[str], relevant: set[str],
     return out
 
 
-def com_score(doc_texts: list[str], sub_answers: list[str]) -> float:
-    """Cumulative weighted coverage of an ordered list of documents."""
-    cov = phi_matrix(doc_texts, sub_answers)
+def com_score(doc_texts: list[str], sub_answers: list[str],
+              store: PhiStore | None = None) -> float:
+    """Cumulative weighted coverage of an ordered list of documents; the
+    coverage is read from `store` when given."""
+    store = store or PhiStore(sub_answers)
+    cov = store.rows(doc_texts, sub_answers)
     total = 0.0
     for t, row in enumerate(cov):
         w = weights_from_rows(cov[:t], len(sub_answers))
@@ -81,18 +90,19 @@ def com_score(doc_texts: list[str], sub_answers: list[str]) -> float:
 
 
 def ncom(ranked_doc_texts: list[str], silver_doc_texts: list[str],
-         sub_answers: list[str]) -> float:
+         sub_answers: list[str], store: PhiStore | None = None) -> float:
     """Comprehensiveness of a list, normalized by the silver list's.
 
     Both lists must have the same length (the silver k). A zero silver
-    score defines NCOM as 0.
+    score defines NCOM as 0. Both lists read one store, `store` when given.
     """
     if len(ranked_doc_texts) != len(silver_doc_texts):
         raise ValueError("list length does not match silver k")
-    denom = com_score(silver_doc_texts, sub_answers)
+    store = store or PhiStore(sub_answers)
+    denom = com_score(silver_doc_texts, sub_answers, store)
     if denom == 0:
         return 0.0
-    return com_score(ranked_doc_texts, sub_answers) / denom
+    return com_score(ranked_doc_texts, sub_answers, store) / denom
 
 
 def rrf_fuse(per_aspect_lists: list[list[str]], k_rrf: float = 60.0,

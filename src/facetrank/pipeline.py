@@ -14,17 +14,18 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import os
 import random
 from dataclasses import dataclass
 from functools import cached_property
 
 from . import evaluation, preferences, silver
-from .aspects import HttpLlmClient, SubAspectList, predict_aspects
+from .aspects import HttpLlmClient, RemoteError, SubAspectList, predict_aspects
 from .corpus import Document, InvertedIndex, build_index, load_corpus, retrieve
 from .pool import CandidatePool, merge_pool, pool_from_dict, pool_to_dict, retrieve_per_aspect
 from .ranker import RankerConfig, RemoteBackend, rank, reference_backend
-from .text_metrics import tokenize
+from .text_metrics import PhiStore, tokenize
 
 log = logging.getLogger(__name__)
 
@@ -67,6 +68,10 @@ class RunConfig:
             raise ValueError(f"unknown aspect_mode: {self.aspect_mode!r}")
         if self.ablation not in ("none", "no-sa", "random-pairs"):
             raise ValueError(f"unknown ablation: {self.ablation!r}")
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{field.name} must be finite")
         for name in ("k", "n_per_aspect", "pool_capacity", "num_samples",
                      "generator_budget"):
             if getattr(self, name) < 1:
@@ -161,8 +166,9 @@ def _input_digest(*paths: str) -> str:
 class RunInputs:
     """The inputs of one run: the dataset records, the document map from one
     corpus parse and the BM25 index built from it, each made when a stage
-    first asks for it, and the header every artifact carries (config
-    fingerprint and input-file digest).
+    first asks for it, the header every artifact carries (config
+    fingerprint and input-file digest), and one store of phi floats per
+    record (`coverage`).
     """
 
     def __init__(self, config: RunConfig, dataset_path: str, corpus_path: str):
@@ -171,6 +177,15 @@ class RunInputs:
         self.records = load_dataset(dataset_path)
         self.header = {"config_fingerprint": config.fingerprint(),
                        "input_digest": _input_digest(dataset_path, corpus_path)}
+        self._coverage: dict[DatasetRecord, PhiStore] = {}
+
+    def coverage(self, rec: DatasetRecord) -> PhiStore:
+        """The record's phi store against its sub-answers and answer, shared
+        by the silver, relevance and NCOM scoring of the run."""
+        store = self._coverage.get(rec)
+        if store is None:
+            store = self._coverage[rec] = PhiStore(rec.sub_answers + (rec.answer,))
+        return store
 
     @cached_property
     def documents(self) -> dict[str, Document]:
@@ -310,13 +325,14 @@ def _load_pools(out_dir: str, inputs: RunInputs) -> dict[str, CandidatePool]:
 
 def _per_query(stage: str, inputs: RunInputs, out_dir: str, job) -> dict:
     """Write the rows job(position, record) returns for every record as the
-    stage's artifact; a ValueError from the job is that query's failure."""
+    stage's artifact; a ValueError or a failed remote call in the job is that
+    query's failure."""
     rows = []
     failures = []
     for position, rec in enumerate(inputs.records):
         try:
             rows.extend(job(position, rec))
-        except ValueError as err:
+        except (ValueError, RemoteError) as err:
             failures.append({"id": rec.id, "error": str(err)})
     _write_rows(_artifact_path(out_dir, stage), inputs, rows)
     return {"count": len(rows), "failures": failures}
@@ -327,7 +343,7 @@ def _stage_silver(config, inputs, out_dir):
 
     def job(_position, rec):
         target = silver.build_silver_list(pools[rec.id], list(rec.sub_answers),
-                                          config.k)
+                                          config.k, inputs.coverage(rec))
         return [{"query_id": rec.id, "docids": target.docids,
                  "step_utilities": target.step_utilities}]
     return _per_query("silver", inputs, out_dir, job)
@@ -424,10 +440,11 @@ def _stage_eval(config, inputs, out_dir):
             skipped.append(rec.id)
             continue
         pool = pools[rec.id]
+        store = inputs.coverage(rec)
         silver_texts = [pool.candidates[i].doc.text
                         for i in silver_rows[rec.id]["docids"]]
         relevant = evaluation.label_relevance(pool, rec.answer,
-                                              config.relevance_threshold)
+                                              config.relevance_threshold, store)
 
         systems = {
             "ranked": [pool.candidates[i].doc.doc_id
@@ -446,7 +463,7 @@ def _stage_eval(config, inputs, out_dir):
             metrics.update(evaluation.ranking_metrics(doc_ids, relevant, cutoffs))
             if len(texts) == len(silver_texts):
                 metrics["ncom"] = evaluation.ncom(texts, silver_texts,
-                                                  list(rec.sub_answers))
+                                                  list(rec.sub_answers), store)
             per_query[rec.id][name] = metrics
 
     # each mean is over the queries that define the metric (ncom needs a

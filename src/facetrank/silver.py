@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .pool import CandidatePool
-from .text_metrics import phi_matrix
+from .text_metrics import PhiStore, phi_matrix
 
 
 @dataclass
@@ -50,17 +50,20 @@ def coverage_gain(doc_text: str, w: list[float], sub_answers: list[str]) -> floa
     return sum(wi * c for wi, c in zip(w, phi_matrix([doc_text], sub_answers)[0]))
 
 
-def build_silver_list(pool: CandidatePool, sub_answers: list[str], k: int) -> SilverTarget:
+def build_silver_list(pool: CandidatePool, sub_answers: list[str], k: int,
+                      store: PhiStore | None = None) -> SilverTarget:
     """Greedy argmax of the coverage utility, ties by lowest pool position.
 
-    The coverage of every sub-answer by every pool document is computed once;
-    each step reads it for the weights and for the gains.
+    The coverage of every sub-answer by every pool document is read once,
+    from `store` when given (it must hold the sub-answers among its
+    references); each step reads it for the weights and for the gains.
     """
     if not sub_answers:
         raise ValueError("sub_answers must be non-empty")
     if k > len(pool.candidates):
         raise ValueError("k exceeds pool size")
-    cov = phi_matrix([c.doc.text for c in pool.candidates], sub_answers)
+    store = store or PhiStore(sub_answers)
+    cov = store.rows([c.doc.text for c in pool.candidates], sub_answers)
     docids: list[int] = []
     utilities: list[float] = []
     trace: list[list[float]] = []

@@ -12,6 +12,9 @@ from collections import Counter
 from dataclasses import dataclass
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
+# ASCII text: A-Z to lowercase, a-z and 0-9 kept, every other character a space
+_ASCII_TABLE = {c: (c + 32 if 65 <= c <= 90 else c if chr(c).isalnum() else 32)
+                for c in range(128)}
 
 
 @dataclass(frozen=True)
@@ -25,7 +28,14 @@ ZERO_SCORE = OverlapScore(0.0, 0.0, 0.0)
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase and split on maximal runs of non-alphanumeric characters."""
+    """Lowercase and split on maximal runs of non-alphanumeric characters.
+
+    ASCII text takes a table translation and a split. Other text keeps the
+    regex: lowering some non-ASCII letters ("İ", the Kelvin sign) yields
+    ASCII ones.
+    """
+    if text.isascii():
+        return text.translate(_ASCII_TABLE).split()
     return _TOKEN_RE.findall(text.lower())
 
 
@@ -152,13 +162,46 @@ def phi(candidate_text: str, reference_text: str) -> float:
     return phi_profiles(profile(candidate_text), profile(reference_text))
 
 
+class PhiStore:
+    """phi of texts against a fixed tuple of references, kept as floats.
+
+    The first time a text is asked for it is profiled once and its whole
+    row, phi against every reference, is kept under the text itself; the
+    reference profiles are built for that call and dropped. Columns are
+    read by reference text.
+    """
+
+    def __init__(self, references):
+        self.references = tuple(references)
+        self._column = {r: j for j, r in enumerate(self.references)}
+        self._rows: dict[str, tuple[float, ...]] = {}
+
+    def rows(self, texts, references=None) -> list[list[float]]:
+        """out[i][j] == phi(texts[i], references[j]); all references by default.
+
+        Raises ValueError for a reference the store was not made with.
+        """
+        try:
+            cols = ([self._column[r] for r in references] if references is not None
+                    else range(len(self.references)))
+        except KeyError as err:
+            raise ValueError(f"unknown reference: {err.args[0]!r}") from None
+        rows = self._rows
+        new = [t for t in dict.fromkeys(texts) if t not in rows]
+        if new:
+            refs = [profile(r) for r in self.references]
+            for text in new:
+                cand = profile(text)
+                rows[text] = tuple([phi_profiles(cand, ref) for ref in refs])
+        return [[row[j] for j in cols] for row in map(rows.__getitem__, texts)]
+
+
 def phi_matrix(texts: list[str], references: list[str]) -> list[list[float]]:
     """Rows of phi: out[i][j] == phi(texts[i], references[j]).
 
-    Every text and every reference is profiled once.
+    Every distinct text and every reference is profiled once.
     """
-    refs = [profile(r) for r in references]
-    return [[phi_profiles(cand, ref) for ref in refs] for cand in map(profile, texts)]
+    return PhiStore(references).rows(texts)
 
 
 def length_weighted(score, response: Profile, sub_answers: list[Profile]) -> float:

@@ -7,7 +7,7 @@ from conftest import make_pool
 from facetrank.evaluation import (com_score, evaluate_response, label_relevance,
                                   ncom, ranking_metrics, rrf_fuse)
 from facetrank.silver import build_silver_list
-from facetrank.text_metrics import phi, rouge, tokenize, unigram_f1
+from facetrank.text_metrics import PhiStore, phi, rouge, tokenize, unigram_f1
 
 
 def test_evaluate_response_perfect():
@@ -161,6 +161,28 @@ def test_com_score_equals_oracle_on_random_lists():
         subs = [" ".join(rng.choices(vocab, k=rng.randint(0, 10)))
                 for _ in range(rng.randint(1, 4))]
         assert com_score(texts, subs) == oracle_com(texts, subs)
+
+
+def test_shared_store_equals_throwaway_stores():
+    rng = random.Random(17)
+    vocab = ["w%d" % i for i in range(6)]
+    for _ in range(30):
+        texts = [" ".join(rng.choices(vocab, k=rng.randint(0, 40)))
+                 for _ in range(rng.randint(3, 10))]
+        texts += rng.choices(texts, k=2)  # the same text at two pool positions
+        subs = [" ".join(rng.choices(vocab, k=rng.randint(1, 8)))
+                for _ in range(rng.randint(1, 4))]
+        answer = " ".join(subs)
+        pool, k = make_pool(texts), rng.randint(1, 3)
+        store = PhiStore(subs + [answer])
+        silver = build_silver_list(pool, subs, k, store)
+        assert silver == build_silver_list(pool, subs, k)
+        threshold = rng.random() / 2
+        assert label_relevance(pool, answer, threshold, store) == \
+            label_relevance(pool, answer, threshold)
+        silver_texts = [texts[i] for i in silver.docids]
+        other = rng.sample(texts + ["w1 w2 w3 w9"], k)
+        assert ncom(other, silver_texts, subs, store) == ncom(other, silver_texts, subs)
 
 
 def test_rrf_hand_values():

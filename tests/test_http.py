@@ -1,7 +1,8 @@
 """Fault injection for the HTTP clients against a local server on 127.0.0.1.
 
-Each test scripts the server's replies, one per request, and checks what
-the client returns or raises and how many attempts it made.
+Each test scripts the server's replies, one per request (or as a function
+of the request's payload), and checks what the client returns or raises
+and how many attempts it made.
 """
 
 import json
@@ -11,8 +12,8 @@ from time import sleep
 
 import pytest
 
-from facetrank.aspects import HttpLlmClient, post_json
-from facetrank.pipeline import RunConfig, _make_backend
+from facetrank.aspects import HttpLlmClient, RemoteError, post_json
+from facetrank.pipeline import RunConfig, _make_backend, load_dataset, run_stage
 from facetrank.preferences import HttpGenerator
 from facetrank.ranker import RemoteBackend
 from conftest import make_pool
@@ -36,8 +37,9 @@ def server(monkeypatch):
 
     class Handler(BaseHTTPRequestHandler):
         def do_POST(self):
-            received.append(json.loads(self.rfile.read(int(self.headers["Content-Length"]))))
-            delay, status, body = script.pop(0)
+            payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            received.append(payload)
+            delay, status, body = httpd.respond(payload)
             sleep(delay)
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
@@ -53,6 +55,7 @@ def server(monkeypatch):
     thread.start()
     httpd.url = f"http://127.0.0.1:{httpd.server_address[1]}/"
     httpd.script, httpd.received = script, received
+    httpd.respond = lambda payload: script.pop(0)
     try:
         yield httpd
     finally:
@@ -94,7 +97,7 @@ def test_5xx_then_success(server, client):
 def test_5xx_on_every_attempt(server, client):
     call, _ = CLIENTS[client]
     server.script += [reply({}, status=500)] * 3
-    with pytest.raises(RuntimeError, match="after 3 attempts"):
+    with pytest.raises(RemoteError, match="after 3 attempts"):
         call(server.url, retries=2)
     assert len(server.received) == 3
 
@@ -128,3 +131,27 @@ def test_remote_backend_takes_configured_retries():
     config = RunConfig(scorer_endpoint="http://127.0.0.1:9/", retries=4, timeout=2.0)
     backend = _make_backend(config, make_pool(["x", "y"]))
     assert (backend.retries, backend.timeout) == (4, 2.0)
+
+
+@pytest.mark.parametrize("stage", ["rank", "pairs"])
+def test_remote_failure_is_that_querys_failure(server, tmp_path, synthetic_paths, stage):
+    dataset, corpus = synthetic_paths
+    config = RunConfig(n_per_aspect=10, pool_capacity=12, k=3, num_samples=2,
+                       scorer_endpoint=server.url, retries=0, timeout=5)
+    records = load_dataset(dataset)
+    failing = records[1]
+
+    def respond(payload):
+        if payload["query"] == failing.question:
+            return reply({}, status=500)
+        return reply({"scores": [0.0] * len(payload["candidates"])})
+    server.respond = respond
+    out = str(tmp_path)
+    for upstream in ("index", "aspects", "retrieve", "pool"):
+        run_stage(upstream, config, dataset, corpus, out)
+    stats = run_stage(stage, config, dataset, corpus, out)
+    assert [f["id"] for f in stats["failures"]] == [failing.id]
+    assert "failed after 1 attempts" in stats["failures"][0]["error"]
+    with open(tmp_path / f"{stage}.jsonl", encoding="utf-8") as fh:
+        rows = [json.loads(line) for line in fh][1:]
+    assert {r["query_id"] for r in rows} == {r.id for r in records} - {failing.id}

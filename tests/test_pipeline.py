@@ -6,6 +6,7 @@ import pytest
 
 from facetrank import pipeline
 from facetrank.cli import main as cli_main
+from facetrank.corpus import load_corpus
 from facetrank.pipeline import (
     STAGES,
     RunConfig,
@@ -76,6 +77,19 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     ("bm25_k1", -1.0),
     ("bm25_b", -0.1),
     ("bm25_b", 1.5),
+    ("bm25_k1", float("nan")),
+    ("bm25_k1", float("inf")),
+    ("bm25_b", float("nan")),
+    ("tau", float("nan")),
+    ("tau", float("inf")),
+    ("mu", float("nan")),
+    ("mu", float("inf")),
+    ("beta", float("nan")),
+    ("k_rrf", float("nan")),
+    ("k_rrf", float("inf")),
+    ("relevance_threshold", float("nan")),
+    ("timeout", float("nan")),
+    ("timeout", float("inf")),
 ])
 def test_config_rejects_bad_values(field, value):
     with pytest.raises(ValueError, match=field):
@@ -105,6 +119,10 @@ def test_fingerprint_stable_and_sensitive():
     assert a.fingerprint() == b.fingerprint()
     assert a.fingerprint() != c.fingerprint()
     assert len(a.fingerprint()) == 16
+    # valid configs keep the fingerprints they had before the finiteness check
+    assert a.fingerprint() == "13805a2678bb9222"
+    assert RunConfig(n_per_aspect=10, pool_capacity=12, k=3,
+                     num_samples=2).fingerprint() == "f5ad2fc5d5c34fad"
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +307,42 @@ def _count_calls(monkeypatch, names):
     for name in calls:
         monkeypatch.setattr(pipeline, name, counted(name))
     return calls
+
+
+def test_pipeline_scores_each_text_once_per_record(tmp_path, synthetic_paths,
+                                                   small_config, monkeypatch):
+    """Silver, relevance labels and NCOM read one phi store per record, and
+    the store profiles each text it scores once."""
+    from facetrank import text_metrics
+    profiled = {}  # (store references, text) -> profiles built for it by the store
+    active = []
+    rows, profile = text_metrics.PhiStore.rows, text_metrics.profile
+
+    def store_rows(self, texts, references=None):
+        active.append(self)
+        try:
+            return rows(self, texts, references)
+        finally:
+            active.pop()
+
+    def counted_profile(text):
+        if active and text not in active[-1].references:
+            key = (active[-1].references, text)
+            profiled[key] = profiled.get(key, 0) + 1
+        return profile(text)
+    monkeypatch.setattr(text_metrics.PhiStore, "rows", store_rows)
+    monkeypatch.setattr(text_metrics, "profile", counted_profile)
+    run_pipeline(small_config, *synthetic_paths, str(tmp_path))
+    assert set(profiled.values()) == {1}
+    refs = {rec.id: rec.sub_answers + (rec.answer,)
+            for rec in load_dataset(synthetic_paths[0])}
+    assert {key for key, _ in profiled} == set(refs.values())
+    texts = {d.doc_id: d.text for d in load_corpus(synthetic_paths[1])}
+    with open(tmp_path / "pool.jsonl", encoding="utf-8") as fh:
+        pools = [json.loads(line) for line in fh][1:]
+    pool_texts = {(refs[p["query_id"]], texts[c["doc_id"]])
+                  for p in pools for c in p["candidates"]}
+    assert {(key, text) for key, text in pool_texts if text not in key} <= set(profiled)
 
 
 def test_pipeline_parses_inputs_once(tmp_path, synthetic_paths, small_config,

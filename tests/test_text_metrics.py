@@ -4,9 +4,9 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from facetrank.text_metrics import (ZERO_SCORE, OverlapScore, Profile, clipped_overlap,
-                                    com_rouge, lcs_length, phi, phi_matrix,
-                                    phi_profiles, rouge, rouge2_f1,
+from facetrank.text_metrics import (_TOKEN_RE, ZERO_SCORE, OverlapScore, PhiStore, Profile,
+                                    clipped_overlap, com_rouge, lcs_length, phi,
+                                    phi_matrix, phi_profiles, rouge, rouge2_f1,
                                     rougel_f1, tokenize, unigram_f1)
 
 tokens = st.lists(st.sampled_from("abcdefgh"), max_size=10)
@@ -108,6 +108,67 @@ def test_tokenize_no_empty_tokens_and_pure():
     out = tokenize(text)
     assert all(out)
     assert out == tokenize(text)
+
+
+# every ASCII character, plus letters whose lowercase is ASCII ("İ", the
+# Kelvin sign) or that stay outside it ("é", "ß")
+tokenizer_text = st.text(alphabet=[chr(c) for c in range(128)] + ["İ", "K", "é", "ß"])
+
+
+@given(tokenizer_text)
+@example("")
+@example(".,;:!?-_()[]{}'\"/\\@#$%^&*+=<>|~`")
+@example("a\tb\nc\rd\x0be\x0cf\x1cg\x1fh\x7fi\x00j")
+@example("0 12 345 6789 007")
+@example("İstanbul K")
+@example("Ünïcode ĞUESS ǅ ﬁ Ⅻ ①")
+def test_tokenize_equals_regex(text):
+    assert tokenize(text) == _TOKEN_RE.findall(text.lower())
+
+
+def test_tokenize_non_ascii_examples():
+    assert tokenize("İstanbul K") == ["i", "stanbul", "k"]
+    assert tokenize("Crème BRÛLÉE") == ["cr", "me", "br", "l", "e"]
+    assert tokenize("Tab\there, NEW\nline 42") == ["tab", "here", "new", "line", "42"]
+
+
+store_texts = st.lists(st.text(alphabet="ab cd.", max_size=30), max_size=6)
+
+
+@given(store_texts, st.lists(st.text(alphabet="ab cd.", max_size=20), min_size=1,
+                             max_size=4), st.lists(st.integers(0, 3), max_size=6))
+@example(["a b", "a b", "c"], ["a b", "d"], [1, 0])
+def test_phi_store_rows_equal_phi(texts, refs, picks):
+    store = PhiStore(refs)
+    assert store.rows(texts) == [[phi(t, r) for r in refs] for t in texts]
+    # a second call on the same store: other texts, some seen, some not,
+    # duplicated, and a subset of the columns in any order
+    more = texts[::-1] + ["c d a", "a b"] + texts[:1]
+    cols = [refs[i % len(refs)] for i in picks]
+    assert store.rows(more, cols) == [[phi(t, r) for r in cols] for t in more]
+    assert phi_matrix(more, cols) == store.rows(more, cols)
+
+
+def test_phi_store_profiles_each_text_once(monkeypatch):
+    store = PhiStore(["a b", "c d"])
+    built = []
+    init = Profile.__init__
+
+    def counted(self, tokens):
+        built.append(tokens)
+        init(self, tokens)
+    monkeypatch.setattr(Profile, "__init__", counted)
+    first = store.rows(["a b c", "x y", "a b c"])
+    assert len(built) == 2 + 2  # two distinct texts, two references
+    built.clear()
+    assert store.rows(["x y", "a b c"], ["c d"]) == [first[1][1:], first[0][1:]]
+    assert built == []
+
+
+def test_phi_store_unknown_reference_raises():
+    store = PhiStore(["a b"])
+    with pytest.raises(ValueError, match="unknown reference"):
+        store.rows(["a"], ["a b", "c"])
 
 
 def test_rouge_bigram_examples():
