@@ -10,7 +10,9 @@ in its own subprocess with PYTHONPATH=<tree>/src, `run_pipeline` and a
 stage-by-stage run (`run_stage` per stage, each reading the inputs itself)
 on every input. Every file the two trees wrote is compared byte for byte,
 headers included; the script lists the files that differ or exist on one
-side only and exits 1 if there are any.
+side only and exits 1 if there are any. It also prints the lines of Python
+under each tree's src/, so a refactor's two checks (the same artifacts from
+fewer lines) read off one run.
 """
 
 from __future__ import annotations
@@ -88,6 +90,17 @@ def compare(dir_a: str, dir_b: str) -> tuple[int, list[str]]:
     return len(files_a | files_b), differ
 
 
+def src_lines(tree: str) -> int:
+    """Lines in the .py files under the tree's src/."""
+    total = 0
+    for top, _, names in os.walk(os.path.join(tree, "src")):
+        for name in names:
+            if name.endswith(".py"):
+                with open(os.path.join(top, name), "rb") as fh:
+                    total += sum(1 for _ in fh)
+    return total
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print("usage: compare_artifacts.py PARENT_TREE CHANGE_TREE", file=sys.stderr)
@@ -104,6 +117,7 @@ def main(argv: list[str]) -> int:
     for line in differ:
         print(line)
     print(f"{total - len(differ)} of {total} files byte-identical")
+    print(f"src/ lines: {src_lines(argv[0])} → {src_lines(argv[1])}")
     return 1 if differ else 0
 
 

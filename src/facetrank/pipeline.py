@@ -214,11 +214,14 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _write_rows(path: str, inputs: RunInputs, rows: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+def _write_stage(stage: str, inputs: RunInputs, out_dir: str, rows: list[dict],
+                 failures: list[dict]) -> dict:
+    """Write a stage's rows under the run header as its artifact."""
+    with open(_artifact_path(out_dir, stage), "w", encoding="utf-8") as fh:
         fh.write(_dump(inputs.header) + "\n")
         for row in rows:
             fh.write(_dump(row) + "\n")
+    return {"count": len(rows), "failures": failures}
 
 
 def _read_rows(out_dir: str, stage: str, inputs: RunInputs) -> list[dict]:
@@ -235,8 +238,34 @@ def _read_rows(out_dir: str, stage: str, inputs: RunInputs) -> list[dict]:
     return lines[1:]
 
 
+class _ByQuery(dict):
+    """An upstream stage's rows by query id. A query with no row failed
+    upstream; asking for it raises ValueError, so it fails here too."""
+
+    def __init__(self, stage: str, items):
+        super().__init__(items)
+        self.stage = stage
+
+    def __missing__(self, query_id):
+        raise ValueError(f"failed upstream: no {self.stage} row for {query_id}")
+
+
+def _per_query(inputs: RunInputs, job) -> tuple[list, list[dict]]:
+    """The rows job(position, record) returns for every record, and the
+    failures: a ValueError or a failed remote call in the job is that
+    query's failure ({"id", "error"}) and leaves none of its rows."""
+    rows, failures = [], []
+    for position, rec in enumerate(inputs.records):
+        try:
+            rows.extend(job(position, rec))
+        except (ValueError, RemoteError) as err:
+            failures.append({"id": rec.id, "error": str(err)})
+    return rows, failures
+
+
 # ---------------------------------------------------------------------------
-# stage implementations
+# stage implementations; upstream artifacts and whole-input state are read
+# before the per-query loop, so an error there aborts the stage
 
 
 def _load_index(out_dir: str, inputs: RunInputs) -> InvertedIndex:
@@ -260,82 +289,64 @@ def _stage_index(config, inputs, out_dir):
 
 
 def _stage_aspects(config, inputs, out_dir):
-    rows = []
     client = None
     if config.aspect_mode == "predicted" and config.ablation != "no-sa":
         if not config.explorer_endpoint:
             raise ValueError("predicted aspect mode requires explorer_endpoint")
         client = HttpLlmClient(config.explorer_endpoint, timeout=config.timeout,
                                retries=config.retries)
-    for rec in inputs.records:
+
+    def job(_position, rec):
         if config.ablation == "no-sa":
             aspects = SubAspectList((rec.question,), source="fallback")
         elif config.aspect_mode == "gold":
             aspects = SubAspectList(rec.sub_aspects, source="gold")
         else:
             aspects = predict_aspects(rec.question, client)
-        rows.append({"id": rec.id, "aspects": list(aspects.aspects),
-                     "source": aspects.source})
-    _write_rows(_artifact_path(out_dir, "aspects"), inputs, rows)
-    return {"count": len(rows)}
+        return [{"id": rec.id, "aspects": list(aspects.aspects),
+                 "source": aspects.source}]
+    return _write_stage("aspects", inputs, out_dir, *_per_query(inputs, job))
 
 
 def _load_aspects(out_dir: str, inputs: RunInputs) -> dict[str, SubAspectList]:
-    rows = _read_rows(out_dir, "aspects", inputs)
-    return {r["id"]: SubAspectList(tuple(r["aspects"]), source=r["source"])
-            for r in rows}
+    return _ByQuery("aspects", ((r["id"], SubAspectList(tuple(r["aspects"]), source=r["source"]))
+                                for r in _read_rows(out_dir, "aspects", inputs)))
 
 
 def _stage_retrieve(config, inputs, out_dir):
     index = _load_index(out_dir, inputs)
     aspects = _load_aspects(out_dir, inputs)
-    rows = []
-    for rec in inputs.records:
+
+    def job(_position, rec):
         lists = retrieve_per_aspect(index, rec.question, aspects[rec.id],
                                     config.n_per_aspect)
-        rows.append({"id": rec.id,
-                     "lists": [[[d, s] for d, s in lst] for lst in lists]})
-    _write_rows(_artifact_path(out_dir, "retrieve"), inputs, rows)
-    return {"count": len(rows)}
+        return [{"id": rec.id, "lists": [[[d, s] for d, s in lst] for lst in lists]}]
+    return _write_stage("retrieve", inputs, out_dir, *_per_query(inputs, job))
 
 
 def _load_retrieve(out_dir: str, inputs: RunInputs) -> dict[str, list[list[tuple[str, float]]]]:
-    rows = _read_rows(out_dir, "retrieve", inputs)
-    return {r["id"]: [[(d, s) for d, s in lst] for lst in r["lists"]] for r in rows}
+    return _ByQuery("retrieve", ((r["id"], [[(d, s) for d, s in lst] for lst in r["lists"]])
+                                 for r in _read_rows(out_dir, "retrieve", inputs)))
 
 
 def _stage_pool(config, inputs, out_dir):
     aspects = _load_aspects(out_dir, inputs)
     lists = _load_retrieve(out_dir, inputs)
-    rows = []
-    for rec in inputs.records:
+    documents = inputs.documents
+
+    def job(_position, rec):
         pool = merge_pool(rec.question, aspects[rec.id], lists[rec.id],
-                          config.pool_capacity, inputs.documents)
-        rows.append(pool_to_dict(rec.id, pool))
-    _write_rows(_artifact_path(out_dir, "pool"), inputs, rows)
-    return {"count": len(rows)}
+                          config.pool_capacity, documents)
+        return [pool_to_dict(rec.id, pool)]
+    return _write_stage("pool", inputs, out_dir, *_per_query(inputs, job))
 
 
 def _load_pools(out_dir: str, inputs: RunInputs) -> dict[str, CandidatePool]:
     questions = {rec.id: rec.question for rec in inputs.records}
-    return {row["query_id"]: pool_from_dict(row, questions[row["query_id"]],
-                                            inputs.documents)
-            for row in _read_rows(out_dir, "pool", inputs)}
-
-
-def _per_query(stage: str, inputs: RunInputs, out_dir: str, job) -> dict:
-    """Write the rows job(position, record) returns for every record as the
-    stage's artifact; a ValueError or a failed remote call in the job is that
-    query's failure."""
-    rows = []
-    failures = []
-    for position, rec in enumerate(inputs.records):
-        try:
-            rows.extend(job(position, rec))
-        except (ValueError, RemoteError) as err:
-            failures.append({"id": rec.id, "error": str(err)})
-    _write_rows(_artifact_path(out_dir, stage), inputs, rows)
-    return {"count": len(rows), "failures": failures}
+    return _ByQuery("pool", ((row["query_id"],
+                              pool_from_dict(row, questions[row["query_id"]],
+                                             inputs.documents))
+                             for row in _read_rows(out_dir, "pool", inputs)))
 
 
 def _stage_silver(config, inputs, out_dir):
@@ -346,7 +357,7 @@ def _stage_silver(config, inputs, out_dir):
                                           config.k, inputs.coverage(rec))
         return [{"query_id": rec.id, "docids": target.docids,
                  "step_utilities": target.step_utilities}]
-    return _per_query("silver", inputs, out_dir, job)
+    return _write_stage("silver", inputs, out_dir, *_per_query(inputs, job))
 
 
 def _make_backend(config: RunConfig, pool: CandidatePool):
@@ -371,7 +382,7 @@ def _stage_rank(config, inputs, out_dir):
         ranking = rank(pools[rec.id], rcfg, _make_backend(config, pools[rec.id]))
         return [{"query_id": rec.id, "docids": ranking.docids,
                  "step_logprobs": ranking.step_logprobs, "mode": ranking.mode}]
-    return _per_query("rank", inputs, out_dir, job)
+    return _write_stage("rank", inputs, out_dir, *_per_query(inputs, job))
 
 
 def _make_generator(config: RunConfig):
@@ -406,7 +417,7 @@ def _stage_pairs(config, inputs, out_dir):
             "mu": config.mu,
             "beta": config.beta,
         } for p in pairs]
-    return _per_query("pairs", inputs, out_dir, job)
+    return _write_stage("pairs", inputs, out_dir, *_per_query(inputs, job))
 
 
 def _random_pairs(lists, rng: random.Random):
@@ -428,17 +439,14 @@ def _stage_eval(config, inputs, out_dir):
     index = _load_index(out_dir, inputs)
     pools = _load_pools(out_dir, inputs)
     per_aspect = _load_retrieve(out_dir, inputs)
-    silver_rows = {r["query_id"]: r for r in _read_rows(out_dir, "silver", inputs)}
-    rank_rows = {r["query_id"]: r for r in _read_rows(out_dir, "rank", inputs)}
+    silver_rows = _ByQuery("silver", ((r["query_id"], r)
+                                      for r in _read_rows(out_dir, "silver", inputs)))
+    rank_rows = _ByQuery("rank", ((r["query_id"], r)
+                                  for r in _read_rows(out_dir, "rank", inputs)))
     generator = _make_generator(config)
     cutoffs = list(config.ndcg_cutoffs)
 
-    per_query: dict[str, dict] = {}
-    skipped = []
-    for rec in inputs.records:
-        if rec.id not in silver_rows or rec.id not in rank_rows:
-            skipped.append(rec.id)
-            continue
+    def job(_position, rec):
         pool = pools[rec.id]
         store = inputs.coverage(rec)
         silver_texts = [pool.candidates[i].doc.text
@@ -454,7 +462,7 @@ def _stage_eval(config, inputs, out_dir):
                 [[d for d, _ in lst] for lst in per_aspect[rec.id]],
                 k_rrf=config.k_rrf, top=config.k),
         }
-        per_query[rec.id] = {}
+        scored = {}
         for name, doc_ids in systems.items():
             texts = [inputs.documents[d].text for d in doc_ids]
             response = generator.generate(rec.question, texts)
@@ -464,7 +472,10 @@ def _stage_eval(config, inputs, out_dir):
             if len(texts) == len(silver_texts):
                 metrics["ncom"] = evaluation.ncom(texts, silver_texts,
                                                   list(rec.sub_answers), store)
-            per_query[rec.id][name] = metrics
+            scored[name] = metrics
+        return [(rec.id, scored)]  # only once all three systems are scored
+    rows, failures = _per_query(inputs, job)
+    per_query = dict(rows)
 
     # each mean is over the queries that define the metric (ncom needs a
     # list as long as the silver one), never imputing a missing value
@@ -478,7 +489,7 @@ def _stage_eval(config, inputs, out_dir):
     report = {
         **inputs.header,
         "num_queries": len(per_query),
-        "skipped": sorted(skipped),
+        "skipped": sorted(f["id"] for f in failures),
         "per_query": per_query,
         "means": means,
         "mean_counts": {name: {key: len(values) for key, values in by_key.items()}
@@ -487,7 +498,7 @@ def _stage_eval(config, inputs, out_dir):
     with open(_artifact_path(out_dir, "eval"), "w", encoding="utf-8") as fh:
         fh.write(_dump(report) + "\n")
     _write_summary(os.path.join(out_dir, "summary.tsv"), means)
-    return {"count": len(per_query), "report": report}
+    return {"count": len(per_query), "failures": failures, "report": report}
 
 
 def _plain_retrieval_ids(index, question, k, pool) -> list[str]:

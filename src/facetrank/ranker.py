@@ -63,9 +63,22 @@ def masked_softmax(scores: np.ndarray, tau: float, mask: set[int]) -> np.ndarray
     return probs
 
 
-def _step_probs(backend, config: RankerConfig, selected: list[int], mask: set[int]) -> np.ndarray:
-    scores = np.asarray(backend.step_scores(selected), dtype=float)
-    return masked_softmax(scores, config.tau, mask)
+def _decode(config: RankerConfig, backend, steps: int, pick) -> tuple[list[int], list[float]]:
+    """The decode loop: at each step, the masked temperature softmax of the
+    backend's scores for the prefix, the docid pick(probs) chooses and its
+    log-probability; a chosen docid is masked unless repetition is allowed."""
+    docids, logprobs, mask = [], [], set()
+    for _ in range(steps):
+        probs = masked_softmax(np.asarray(backend.step_scores(docids), dtype=float),
+                               config.tau, mask)
+        choice = pick(probs)
+        if probs[choice] <= 0.0:  # only a forced sequence can choose it
+            raise ValueError("masked docid in sequence")
+        docids.append(choice)
+        logprobs.append(math.log(probs[choice]))
+        if not config.allow_repetition:
+            mask.add(choice)
+    return docids, logprobs
 
 
 def rank(pool: CandidatePool, config: RankerConfig, backend,
@@ -79,57 +92,33 @@ def rank(pool: CandidatePool, config: RankerConfig, backend,
     if not config.allow_repetition and config.k > m:
         raise ValueError("k exceeds pool")
     rng = random.Random(config.seed)
-    docids: list[int] = []
-    logprobs: list[float] = []
-    mask: set[int] = set()
-    for _ in range(config.k):
-        probs = _step_probs(backend, config, docids, mask)
-        if mode == "sampled":
-            choice = _draw(probs, rng)
-        else:
-            choice = int(np.argmax(probs))  # argmax ties -> lowest index
-        docids.append(choice)
-        logprobs.append(math.log(probs[choice]))
-        if not config.allow_repetition:
-            mask.add(choice)
-    return RankingList(docids, logprobs, mode)
+
+    def pick(probs):  # argmax ties -> lowest index
+        return _draw(probs, rng) if mode == "sampled" else int(np.argmax(probs))
+    return RankingList(*_decode(config, backend, config.k, pick), mode)
 
 
 def _draw(probs: np.ndarray, rng: random.Random) -> int:
-    x = rng.random()
-    acc = 0.0
-    last = 0
-    for i, p in enumerate(probs):
-        if p <= 0.0:
-            continue
-        acc += p
-        last = i
-        if x < acc:
-            return i
-    return last
+    """The first index whose running sum of probs exceeds a uniform draw; a
+    draw at or past the last partial sum takes the last nonzero entry."""
+    i = int(probs.cumsum().searchsorted(rng.random(), side="right"))
+    return i if i < len(probs) else int(np.flatnonzero(probs)[-1])
 
 
 def sequence_log_prob(pool: CandidatePool, config: RankerConfig, backend,
                       docids: list[int]) -> float:
     """Log-probability of a given docid sequence under the decode contract."""
-    m = len(pool.candidates)
     if len(docids) > config.k:
         raise ValueError("sequence longer than k")
-    total = 0.0
-    mask: set[int] = set()
-    selected: list[int] = []
-    for d in docids:
-        if not 0 <= d < m:
+    for i, d in enumerate(docids):  # checked before any backend call
+        if not 0 <= d < len(pool.candidates):
             raise ValueError(f"docid {d} out of range")
-        if d in mask:
+        if not config.allow_repetition and d in docids[:i]:
             raise ValueError("masked docid in sequence")
-        probs = _step_probs(backend, config, selected, mask)
-        if probs[d] <= 0.0:
-            raise ValueError("masked docid in sequence")
-        total += math.log(probs[d])
-        selected.append(d)
-        if not config.allow_repetition:
-            mask.add(d)
+    forced = iter(docids)
+    total = 0.0
+    for logprob in _decode(config, backend, len(docids), lambda _probs: next(forced))[1]:
+        total += logprob  # a left fold: sum() compensates on Python >= 3.12
     return total
 
 

@@ -12,8 +12,9 @@ from time import sleep
 
 import pytest
 
-from facetrank.aspects import HttpLlmClient, RemoteError, post_json
-from facetrank.pipeline import RunConfig, _make_backend, load_dataset, run_stage
+from facetrank.aspects import (EXPLORER_PROMPT, HttpLlmClient, RemoteError, SubAspectList,
+                               format_target, post_json)
+from facetrank.pipeline import STAGES, RunConfig, _make_backend, load_dataset, run_stage
 from facetrank.preferences import HttpGenerator
 from facetrank.ranker import RemoteBackend
 from conftest import make_pool
@@ -133,25 +134,115 @@ def test_remote_backend_takes_configured_retries():
     assert (backend.retries, backend.timeout) == (4, 2.0)
 
 
-@pytest.mark.parametrize("stage", ["rank", "pairs"])
+def _question(payload):
+    """The question a pipeline request is about: the explorer is sent a
+    prompt, the scorer and the generator the query."""
+    if "prompt" in payload:
+        return payload["prompt"].removeprefix(EXPLORER_PROMPT.format(query=""))
+    return payload["query"]
+
+
+def _serve(server, records, fails):
+    """Answer every endpoint the pipeline calls; fails(question) picks the
+    requests that get a 500. The explorer answers a record's gold aspects."""
+    aspects = {r.question: format_target(SubAspectList(r.sub_aspects)) for r in records}
+
+    def respond(payload):
+        if fails(_question(payload)):
+            return reply({}, status=500)
+        if "prompt" in payload:
+            return reply({"text": aspects[_question(payload)]})
+        if "candidates" in payload:
+            return reply({"scores": [0.0] * len(payload["candidates"])})
+        return reply({"text": " ".join(payload["documents"])[:200]})
+    server.respond = respond
+
+
+def _written_ids(tmp_path, stage):
+    if stage == "eval":
+        with open(tmp_path / "report.json", encoding="utf-8") as fh:
+            report = json.load(fh)
+        return set(report["per_query"]), report["skipped"]
+    with open(tmp_path / f"{stage}.jsonl", encoding="utf-8") as fh:
+        rows = [json.loads(line) for line in fh][1:]
+    return {r.get("query_id", r.get("id")) for r in rows}, None
+
+
+# stage -> the config of the endpoint it calls
+REMOTE_STAGES = {
+    "aspects": lambda url: {"aspect_mode": "predicted", "explorer_endpoint": url},
+    "rank": lambda url: {"scorer_endpoint": url},
+    "pairs": lambda url: {"scorer_endpoint": url},
+    "eval": lambda url: {"generator_endpoint": url},
+}
+
+
+@pytest.mark.parametrize("stage", sorted(REMOTE_STAGES))
 def test_remote_failure_is_that_querys_failure(server, tmp_path, synthetic_paths, stage):
     dataset, corpus = synthetic_paths
     config = RunConfig(n_per_aspect=10, pool_capacity=12, k=3, num_samples=2,
-                       scorer_endpoint=server.url, retries=0, timeout=5)
+                       retries=0, timeout=5, **REMOTE_STAGES[stage](server.url))
     records = load_dataset(dataset)
     failing = records[1]
-
-    def respond(payload):
-        if payload["query"] == failing.question:
-            return reply({}, status=500)
-        return reply({"scores": [0.0] * len(payload["candidates"])})
-    server.respond = respond
     out = str(tmp_path)
-    for upstream in ("index", "aspects", "retrieve", "pool"):
+    _serve(server, records, lambda question: False)
+    for upstream in STAGES[:STAGES.index(stage)]:
         run_stage(upstream, config, dataset, corpus, out)
+    _serve(server, records, lambda question: question == failing.question)
     stats = run_stage(stage, config, dataset, corpus, out)
     assert [f["id"] for f in stats["failures"]] == [failing.id]
     assert "failed after 1 attempts" in stats["failures"][0]["error"]
-    with open(tmp_path / f"{stage}.jsonl", encoding="utf-8") as fh:
-        rows = [json.loads(line) for line in fh][1:]
-    assert {r["query_id"] for r in rows} == {r.id for r in records} - {failing.id}
+    written, skipped = _written_ids(tmp_path, stage)
+    assert written == {r.id for r in records} - {failing.id}
+    assert skipped in (None, [failing.id])
+
+
+def test_explorer_failure_fails_the_query_in_every_later_stage(server, tmp_path,
+                                                              synthetic_paths):
+    dataset, corpus = synthetic_paths
+    config = RunConfig(n_per_aspect=10, pool_capacity=12, k=3, num_samples=2,
+                       aspect_mode="predicted", explorer_endpoint=server.url,
+                       retries=0, timeout=5)
+    records = load_dataset(dataset)
+    failing = records[1]
+    _serve(server, records, lambda question: question == failing.question)
+    out = str(tmp_path)
+    run_stage("index", config, dataset, corpus, out)
+    assert [f["id"] for f in run_stage("aspects", config, dataset, corpus, out)["failures"]] \
+        == [failing.id]
+    upstream = {"retrieve": "aspects", "pool": "aspects", "silver": "pool",
+                "rank": "pool", "pairs": "pool", "eval": "pool"}
+    for stage in STAGES[STAGES.index("retrieve"):]:
+        stats = run_stage(stage, config, dataset, corpus, out)
+        assert stats["failures"] == [{
+            "id": failing.id,
+            "error": f"failed upstream: no {upstream[stage]} row for {failing.id}"}]
+        written, skipped = _written_ids(tmp_path, stage)
+        assert written == {r.id for r in records} - {failing.id}
+    assert skipped == [failing.id]
+
+
+def test_generator_failure_on_second_system_leaves_no_eval_row(server, tmp_path,
+                                                               synthetic_paths):
+    dataset, corpus = synthetic_paths
+    config = RunConfig(n_per_aspect=10, pool_capacity=12, k=3, num_samples=2,
+                       generator_endpoint=server.url, retries=0, timeout=5)
+    records = load_dataset(dataset)
+    failing = records[1]
+    out = str(tmp_path)
+    for stage in STAGES[:STAGES.index("rank") + 1]:
+        run_stage(stage, config, dataset, corpus, out)  # no stage so far generates
+    calls = []
+
+    def fails(question):  # the failing query's first system succeeds
+        calls.append(question)
+        return question == failing.question and calls.count(question) > 1
+    _serve(server, records, fails)
+    stats = run_stage("eval", config, dataset, corpus, out)
+    assert calls.count(failing.question) == 2
+    assert [f["id"] for f in stats["failures"]] == [failing.id]
+    assert "failed after 1 attempts" in stats["failures"][0]["error"]
+    assert failing.id not in stats["report"]["per_query"]
+    assert stats["report"]["num_queries"] == len(records) - 1
+    assert _written_ids(tmp_path, "eval") == ({r.id for r in records} - {failing.id},
+                                             [failing.id])

@@ -7,7 +7,7 @@ import pytest
 from conftest import make_pool
 from facetrank.corpus import Document
 from facetrank.pool import Candidate
-from facetrank.ranker import (RankerConfig, UniformBackend, masked_softmax, rank,
+from facetrank.ranker import (RankerConfig, UniformBackend, _draw, masked_softmax, rank,
                               reference_backend, sequence_log_prob)
 from facetrank.silver import weights_from_rows
 from facetrank.text_metrics import phi, tokenize
@@ -100,10 +100,12 @@ def test_sequence_log_prob_matches_greedy():
     backend = StubBackend([[0.5, 0.1, 0.8, 0.2, 0.4],
                            [0.9, 0.3, 0.1, 0.7, 0.2],
                            [0.2, 0.6, 0.1, 0.1, 0.1]])
-    cfg = RankerConfig(k=3, tau=0.7)
-    out = rank(pool, cfg, backend)
-    lp = sequence_log_prob(pool, cfg, backend, out.docids)
-    assert lp == sum(out.step_logprobs)
+    for seed in (0, 1, 2, 3):  # and sampled lists, which visit other docids
+        cfg = RankerConfig(k=3, tau=0.7, seed=seed)
+        for mode in ("greedy", "sampled"):
+            out = rank(pool, cfg, backend, mode)
+            lp = sequence_log_prob(pool, cfg, backend, out.docids)
+            assert lp == sum(out.step_logprobs)
 
 
 def test_sequence_log_prob_masked_docid():
@@ -117,6 +119,90 @@ def test_sequence_log_prob_out_of_range():
     pool = make_pool(["a", "b"])
     with pytest.raises(ValueError, match="out of range"):
         sequence_log_prob(pool, RankerConfig(k=2), UniformBackend(2), [5])
+
+
+class CountingBackend(UniformBackend):
+    def __init__(self, pool_size):
+        super().__init__(pool_size)
+        self.calls = 0
+
+    def step_scores(self, selected):
+        self.calls += 1
+        return super().step_scores(selected)
+
+
+@pytest.mark.parametrize("docids, error", [([5], "docid 5 out of range"),
+                                           ([0, 1, -1], "docid -1 out of range"),
+                                           ([1, 0, 1], "masked docid in sequence")])
+def test_sequence_log_prob_rejects_before_any_backend_call(docids, error):
+    pool = make_pool(["a", "b", "c"])
+    backend = CountingBackend(3)
+    with pytest.raises(ValueError, match=error):
+        sequence_log_prob(pool, RankerConfig(k=3), backend, docids)
+    assert backend.calls == 0
+
+
+def test_sequence_log_prob_rejects_an_underflowed_docid():
+    # doc 1's probability rounds to exactly 0.0 without being masked
+    pool = make_pool(["a", "b"])
+    backend = StubBackend([[0.0, -1000.0]])
+    with pytest.raises(ValueError, match="masked docid in sequence"):
+        sequence_log_prob(pool, RankerConfig(k=1, tau=1.0), backend, [1])
+
+
+def loop_draw(probs, rng):
+    """The sampler as a Python loop over the running sum of the nonzero
+    entries: the first index whose partial sum exceeds the draw, else the
+    last nonzero entry."""
+    x = rng.random()
+    acc = 0.0
+    last = 0
+    for i, p in enumerate(probs):
+        if p <= 0.0:
+            continue
+        acc += p
+        last = i
+        if x < acc:
+            return i
+    return last
+
+
+class FixedDraw:
+    def __init__(self, x):
+        self.x = x
+
+    def random(self):
+        return self.x
+
+
+def _random_distributions(rng, n):
+    """masked_softmax outputs over random scores and masks, some with
+    unmasked entries that underflow to exactly 0.0."""
+    for _ in range(n):
+        m = int(rng.integers(1, 12))
+        scores = rng.normal(size=m) * rng.choice([1.0, 50.0, 2000.0])
+        mask = set(rng.choice(m, size=rng.integers(0, m), replace=False).tolist())
+        yield masked_softmax(scores, float(rng.uniform(0.05, 2.0)), mask)
+
+
+def test_draw_equals_loop_oracle():
+    rng = np.random.default_rng(13)
+    for case, probs in enumerate(_random_distributions(rng, 2000)):
+        assert _draw(probs, random.Random(case)) == loop_draw(probs, random.Random(case))
+
+
+def test_draw_equals_loop_oracle_at_partial_sums():
+    rng = np.random.default_rng(17)
+    for probs in _random_distributions(rng, 500):
+        sums = [float(v) for v in np.cumsum(probs)]
+        # each partial sum exactly, just below it, and draws at or past the last
+        # one, which rounding can leave below 1.0
+        draws = sums + [math.nextafter(v, 0.0) for v in sums]
+        draws += [math.nextafter(sums[-1], 1.0), 1.0 - 2 ** -53]
+        for x in draws:
+            assert _draw(probs, FixedDraw(x)) == loop_draw(probs, FixedDraw(x))
+    probs = np.array([0.0, 0.25, 0.0, 0.5, 0.0])  # partial sums stop at 0.75
+    assert _draw(probs, FixedDraw(0.9)) == loop_draw(probs, FixedDraw(0.9)) == 3
 
 
 def test_tau_sharpens_distribution():
