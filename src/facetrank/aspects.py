@@ -83,12 +83,14 @@ class RemoteError(RuntimeError):
     """A remote call that failed on every attempt."""
 
 
-def post_json(endpoint: str, payload: dict, timeout: float, retries: int) -> dict:
-    """POST a JSON payload and return the decoded JSON reply.
+def post_json(endpoint: str, payload: dict, timeout: float, retries: int,
+              key: str, kind: type):
+    """POST a JSON payload and return reply[key], a `kind`.
 
-    A transport error, an HTTP error status, a timeout or a reply that is
-    not JSON is retried; after retries + 1 failed attempts RemoteError is
-    raised, chained to the last error.
+    A transport error, an HTTP error status, a timeout, a reply that is not
+    JSON, or one that is not a JSON object holding a `kind` under `key` is a
+    failed attempt and is retried; after retries + 1 failed attempts
+    RemoteError is raised, chained to the last error.
     """
     import requests
 
@@ -97,9 +99,14 @@ def post_json(endpoint: str, payload: dict, timeout: float, retries: int) -> dic
         try:
             resp = requests.post(endpoint, json=payload, timeout=timeout)
             resp.raise_for_status()
-            return resp.json()
+            reply = resp.json()
         except requests.RequestException as err:
             last_err = err
+            continue
+        value = reply.get(key) if isinstance(reply, dict) else None
+        if isinstance(value, kind):
+            return value
+        last_err = ValueError(f"reply holds no {kind.__name__} under {key!r}")
     raise RemoteError(f"POST {endpoint} failed after {retries + 1} attempts: "
                        f"{last_err}") from last_err
 
@@ -114,4 +121,4 @@ class HttpLlmClient:
 
     def complete(self, prompt: str, max_tokens: int) -> str:
         return post_json(self.endpoint, {"prompt": prompt, "max_tokens": max_tokens},
-                         self.timeout, self.retries)["text"]
+                         self.timeout, self.retries, "text", str)

@@ -23,7 +23,7 @@ from .text_metrics import tokenize
 _raw_decode = json.JSONDecoder().raw_decode
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Document:
     doc_id: str
     title: str

@@ -214,13 +214,21 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _write_stage(stage: str, inputs: RunInputs, out_dir: str, rows: list[dict],
-                 failures: list[dict]) -> dict:
-    """Write a stage's rows under the run header as its artifact."""
+def _write(stage: str, inputs: RunInputs, out_dir: str, rows=(), **head) -> dict:
+    """Write a stage's artifact: the run header with `head` merged into it
+    on line 1, then one line per row. Returns the first line."""
+    first = {**inputs.header, **head}
     with open(_artifact_path(out_dir, stage), "w", encoding="utf-8") as fh:
-        fh.write(_dump(inputs.header) + "\n")
+        fh.write(_dump(first) + "\n")
         for row in rows:
             fh.write(_dump(row) + "\n")
+    return first
+
+
+def _write_stage(stage: str, inputs: RunInputs, out_dir: str, rows: list[dict],
+                 failures: list[dict]) -> dict:
+    """Write a per-record stage's rows as its artifact."""
+    _write(stage, inputs, out_dir, rows)
     return {"count": len(rows), "failures": failures}
 
 
@@ -275,16 +283,9 @@ def _load_index(out_dir: str, inputs: RunInputs) -> InvertedIndex:
 
 def _stage_index(config, inputs, out_dir):
     index = inputs.index
-    meta = {
-        **inputs.header,
-        "doc_count": index.doc_count,
-        "avg_doc_length": index.avg_doc_length,
-        "k1": index.k1,
-        "b": index.b,
-        "vocabulary_size": len(index.terms),
-    }
-    with open(_artifact_path(out_dir, "index"), "w", encoding="utf-8") as fh:
-        fh.write(_dump(meta) + "\n")
+    _write("index", inputs, out_dir, doc_count=index.doc_count,
+           avg_doc_length=index.avg_doc_length, k1=index.k1, b=index.b,
+           vocabulary_size=len(index.terms))
     return {"count": index.doc_count}
 
 
@@ -486,17 +487,11 @@ def _stage_eval(config, inputs, out_dir):
                 defined.setdefault(name, {}).setdefault(key, []).append(value)
     means = {name: {key: sum(values) / len(values) for key, values in by_key.items()}
              for name, by_key in defined.items()}
-    report = {
-        **inputs.header,
-        "num_queries": len(per_query),
-        "skipped": sorted(f["id"] for f in failures),
-        "per_query": per_query,
-        "means": means,
-        "mean_counts": {name: {key: len(values) for key, values in by_key.items()}
-                        for name, by_key in defined.items()},
-    }
-    with open(_artifact_path(out_dir, "eval"), "w", encoding="utf-8") as fh:
-        fh.write(_dump(report) + "\n")
+    report = _write("eval", inputs, out_dir, num_queries=len(per_query),
+                    skipped=sorted(f["id"] for f in failures), per_query=per_query,
+                    means=means,
+                    mean_counts={name: {key: len(values) for key, values in by_key.items()}
+                                 for name, by_key in defined.items()})
     _write_summary(os.path.join(out_dir, "summary.tsv"), means)
     return {"count": len(per_query), "failures": failures, "report": report}
 
@@ -504,14 +499,8 @@ def _stage_eval(config, inputs, out_dir):
 def _plain_retrieval_ids(index, question, k, pool) -> list[str]:
     """Original-query retrieval order, padded from the pool when short."""
     ids = [d for d, _ in retrieve(index, question, k)]
-    if len(ids) < k:
-        have = set(ids)
-        for c in pool.candidates:
-            if len(ids) >= k:
-                break
-            if c.doc.doc_id not in have:
-                ids.append(c.doc.doc_id)
-    return ids[:k]
+    return ids + [c.doc.doc_id for c in pool.candidates
+                  if c.doc.doc_id not in ids][:k - len(ids)]
 
 
 def _write_summary(path: str, means: dict[str, dict[str, float]]) -> None:

@@ -105,7 +105,7 @@ class HttpGenerator:
     def generate(self, query: str, documents: list[str]) -> str:
         payload = {"query": query, "documents": documents,
                    "max_tokens": self.max_tokens}
-        return post_json(self.endpoint, payload, self.timeout, self.retries)["text"]
+        return post_json(self.endpoint, payload, self.timeout, self.retries, "text", str)
 
 
 def generate_rewarded_lists(pool: CandidatePool, config: RankerConfig, backend,

@@ -215,7 +215,8 @@ class RemoteBackend:
     def step_scores(self, selected) -> np.ndarray:
         payload = {"query": self.query, "aspects": list(self.aspects),
                    "candidates": self.candidate_texts, "selected": list(selected)}
-        scores = post_json(self.endpoint, payload, self.timeout, self.retries)["scores"]
+        scores = post_json(self.endpoint, payload, self.timeout, self.retries,
+                           "scores", list)
         if len(scores) != len(self.candidate_texts):
             raise ValueError("remote backend returned wrong score count")
         return np.asarray(scores, dtype=float)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .pool import CandidatePool
-from .text_metrics import PhiStore, phi_matrix
+from .text_metrics import PhiStore
 
 
 @dataclass
@@ -22,7 +22,7 @@ class SilverTarget:
 
 
 def weights_from_rows(rows: list[list[float]], n: int) -> list[float]:
-    """Per-aspect weights 1 - Norm(best coverage) over rows of phi_matrix.
+    """Per-aspect weights 1 - Norm(best coverage) over rows of phi.
 
     rows[t][j] is the coverage of sub-answer j by the t-th selected doc.
     With no rows (or nothing covered) the coverage vector is all zeros; its
@@ -40,14 +40,14 @@ def weights_from_rows(rows: list[list[float]], n: int) -> list[float]:
 
 def aspect_weights(selected_docs: list[str], sub_answers: list[str]) -> list[float]:
     """Per-aspect weights 1 - Norm(best coverage by selected docs)."""
-    return weights_from_rows(phi_matrix(selected_docs, sub_answers), len(sub_answers))
+    return weights_from_rows(PhiStore(sub_answers).rows(selected_docs), len(sub_answers))
 
 
 def coverage_gain(doc_text: str, w: list[float], sub_answers: list[str]) -> float:
     """Weighted coverage utility of one document."""
     if len(w) != len(sub_answers):
         raise ValueError("weight / sub-answer dimension mismatch")
-    return sum(wi * c for wi, c in zip(w, phi_matrix([doc_text], sub_answers)[0]))
+    return sum(wi * c for wi, c in zip(w, PhiStore(sub_answers).rows([doc_text])[0]))
 
 
 def build_silver_list(pool: CandidatePool, sub_answers: list[str], k: int,

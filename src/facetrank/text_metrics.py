@@ -196,14 +196,6 @@ class PhiStore:
         return [[row[j] for j in cols] for row in map(rows.__getitem__, texts)]
 
 
-def phi_matrix(texts: list[str], references: list[str]) -> list[list[float]]:
-    """Rows of phi: out[i][j] == phi(texts[i], references[j]).
-
-    Every distinct text and every reference is profiled once.
-    """
-    return PhiStore(references).rows(texts)
-
-
 def length_weighted(score, response: Profile, sub_answers: list[Profile]) -> float:
     """Sum of score(response, sub-answer), each sub-answer weighted by its
     token count over all of theirs, so the weights sum to 1.

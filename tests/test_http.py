@@ -106,17 +106,32 @@ def test_5xx_on_every_attempt(server, client):
 def test_timeout_is_retried(server):
     server.script += [reply({"ok": 1}, delay=0.5)] * 2
     with pytest.raises(RuntimeError, match="after 2 attempts"):
-        post_json(server.url, {"q": 1}, timeout=0.1, retries=1)
+        post_json(server.url, {"q": 1}, timeout=0.1, retries=1, key="ok", kind=int)
     assert len(server.received) == 2
 
 
 def test_bad_json_is_retried(server):
     server.script += [reply(body=b"not json"), reply({"ok": 1})]
-    assert post_json(server.url, {"q": 1}, timeout=5, retries=1) == {"ok": 1}
+    assert post_json(server.url, {"q": 1}, timeout=5, retries=1, key="ok", kind=int) == 1
     server.script += [reply(body=b"{truncated")] * 2
     with pytest.raises(RuntimeError, match="after 2 attempts"):
-        post_json(server.url, {"q": 1}, timeout=5, retries=1)
+        post_json(server.url, {"q": 1}, timeout=5, retries=1, key="ok", kind=int)
     assert len(server.received) == 4
+
+
+# client -> the reply key it reads
+REPLY_KEYS = {"llm": "text", "generator": "text", "backend": "scores"}
+
+
+@pytest.mark.parametrize("body", [{}, [], {"text": None, "scores": None}],
+                         ids=["empty", "list", "null"])
+@pytest.mark.parametrize("client", sorted(CLIENTS))
+def test_reply_without_its_key_is_retried(server, client, body):
+    call, _ = CLIENTS[client]
+    server.script += [reply(body)] * 3
+    with pytest.raises(RemoteError, match=f"after 3 attempts: .*'{REPLY_KEYS[client]}'"):
+        call(server.url, retries=2)
+    assert len(server.received) == 3
 
 
 def test_wrong_score_count_is_not_retried(server):
@@ -142,14 +157,14 @@ def _question(payload):
     return payload["query"]
 
 
-def _serve(server, records, fails):
+def _serve(server, records, fails, failure=reply({}, status=500)):
     """Answer every endpoint the pipeline calls; fails(question) picks the
-    requests that get a 500. The explorer answers a record's gold aspects."""
+    requests that get `failure`. The explorer answers a record's gold aspects."""
     aspects = {r.question: format_target(SubAspectList(r.sub_aspects)) for r in records}
 
     def respond(payload):
         if fails(_question(payload)):
-            return reply({}, status=500)
+            return failure
         if "prompt" in payload:
             return reply({"text": aspects[_question(payload)]})
         if "candidates" in payload:
@@ -195,6 +210,27 @@ def test_remote_failure_is_that_querys_failure(server, tmp_path, synthetic_paths
     written, skipped = _written_ids(tmp_path, stage)
     assert written == {r.id for r in records} - {failing.id}
     assert skipped in (None, [failing.id])
+
+
+@pytest.mark.parametrize("stage", sorted(REMOTE_STAGES))
+def test_malformed_reply_is_that_querys_failure(server, tmp_path, synthetic_paths, stage):
+    dataset, corpus = synthetic_paths
+    config = RunConfig(n_per_aspect=10, pool_capacity=12, k=3, num_samples=2,
+                       retries=0, timeout=5, **REMOTE_STAGES[stage](server.url))
+    records = load_dataset(dataset)
+    failing = records[1]
+    out = str(tmp_path)
+    _serve(server, records, lambda question: False)
+    for upstream in STAGES[:STAGES.index(stage)]:
+        run_stage(upstream, config, dataset, corpus, out)
+    _serve(server, records, lambda question: question == failing.question, reply({}))
+    stats = run_stage(stage, config, dataset, corpus, out)
+    assert [f["id"] for f in stats["failures"]] == [failing.id]
+    key = "scores" if stage in ("rank", "pairs") else "text"
+    assert "failed after 1 attempts: reply holds no" in stats["failures"][0]["error"]
+    assert repr(key) in stats["failures"][0]["error"]
+    written, _ = _written_ids(tmp_path, stage)
+    assert written == {r.id for r in records} - {failing.id}
 
 
 def test_explorer_failure_fails_the_query_in_every_later_stage(server, tmp_path,

@@ -6,7 +6,7 @@ import pytest
 
 from facetrank import pipeline
 from facetrank.cli import main as cli_main
-from facetrank.corpus import load_corpus
+from facetrank.corpus import build_index, load_corpus, retrieve
 from facetrank.pipeline import (
     STAGES,
     RunConfig,
@@ -16,6 +16,8 @@ from facetrank.pipeline import (
     run_pipeline,
     run_stage,
 )
+from facetrank.pool import CandidatePool
+from conftest import make_pool
 
 
 def _write_jsonl(path, rows):
@@ -556,3 +558,34 @@ def test_changed_corpus_rejects_stale_artifacts(tmp_path, synthetic_paths, small
     _write_jsonl(changed, docs)
     with pytest.raises(ValueError, match="input_digest mismatch"):
         run_stage("pool", small_config, dataset, changed, out)
+
+
+# ---------------------------------------------------------------------------
+# the no_ranker system's list
+
+
+def _padded_by_loop(ids, k, pool):
+    """Reference padding: walk the pool, appending ids not retrieved."""
+    ids = list(ids)
+    have = set(ids)
+    for c in pool.candidates:
+        if len(ids) >= k:
+            break
+        if c.doc.doc_id not in have:
+            ids.append(c.doc.doc_id)
+    return ids[:k]
+
+
+@pytest.mark.parametrize("query,k,expected", [
+    ("a", 4, ["d4", "d1", "d3", "d2"]),  # short: padded in pool order
+    ("a", 9, ["d4", "d1", "d3", "d2", "d0"]),  # short, and the pool runs out
+    ("b", 2, ["d2", "d1"]),  # full: the retrieval as it is
+    ("a b", 1, ["d1"]),
+])
+def test_plain_retrieval_pads_from_the_pool(query, k, expected):
+    docs = make_pool(["c", "a b", "b", "d", "a"]).candidates
+    pool = CandidatePool("q", ("a",), docs[::-1])  # pool order d4 .. d0
+    index = build_index([c.doc for c in docs])
+    retrieved = [d for d, _ in retrieve(index, query, k)]
+    ids = pipeline._plain_retrieval_ids(index, query, k, pool)
+    assert ids == _padded_by_loop(retrieved, k, pool) == expected

@@ -6,8 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from facetrank.text_metrics import (_TOKEN_RE, ZERO_SCORE, OverlapScore, PhiStore, Profile,
                                     clipped_overlap, com_rouge, lcs_length, phi,
-                                    phi_matrix, phi_profiles, rouge, rouge2_f1,
-                                    rougel_f1, tokenize, unigram_f1)
+                                    phi_profiles, rouge, rouge2_f1, rougel_f1,
+                                    tokenize, unigram_f1)
 
 tokens = st.lists(st.sampled_from("abcdefgh"), max_size=10)
 
@@ -146,7 +146,7 @@ def test_phi_store_rows_equal_phi(texts, refs, picks):
     more = texts[::-1] + ["c d a", "a b"] + texts[:1]
     cols = [refs[i % len(refs)] for i in picks]
     assert store.rows(more, cols) == [[phi(t, r) for r in cols] for t in more]
-    assert phi_matrix(more, cols) == store.rows(more, cols)
+    assert PhiStore(cols).rows(more) == store.rows(more, cols)
 
 
 def test_phi_store_profiles_each_text_once(monkeypatch):
@@ -289,7 +289,7 @@ texts = st.lists(st.text(alphabet="ab cd.", max_size=30), max_size=4)
 
 @given(texts, texts)
 def test_phi_matrix_equals_phi(cands, refs):
-    out = phi_matrix(cands, refs)
+    out = PhiStore(refs).rows(cands)
     assert out == [[phi(c, r) for r in refs] for c in cands]
 
 
