@@ -38,6 +38,11 @@ class DatasetRecord:
     sub_answers: tuple[str, ...]
 
 
+# RunConfig field annotation -> the types its value may have
+_FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str,
+                "str | None": (str, type(None)), "tuple[int, ...]": tuple}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     n_per_aspect: int = 50
@@ -70,6 +75,10 @@ class RunConfig:
             raise ValueError(f"unknown ablation: {self.ablation!r}")
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
+            # a bool is an int to isinstance, so only a bool field takes one
+            if (not isinstance(value, _FIELD_TYPES[field.type])
+                    or isinstance(value, bool) != (field.type == "bool")):
+                raise ValueError(f"{field.name} must be {field.type}, not {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{field.name} must be finite")
         for name in ("k", "n_per_aspect", "pool_capacity", "num_samples",
@@ -85,8 +94,8 @@ class RunConfig:
         for name in ("relevance_threshold", "bm25_b"):
             if not 0 <= getattr(self, name) <= 1:
                 raise ValueError(f"{name} must lie in [0, 1]")
-        if any(c < 1 for c in self.ndcg_cutoffs):
-            raise ValueError("ndcg_cutoffs must be >= 1")
+        if any(type(c) is not int or c < 1 for c in self.ndcg_cutoffs):
+            raise ValueError("ndcg_cutoffs must be ints >= 1")
 
     def fingerprint(self) -> str:
         canon = json.dumps(dataclasses.asdict(self), sort_keys=True)
@@ -117,15 +126,18 @@ def load_dataset(path: str) -> list[DatasetRecord]:
                 continue
             obj = json.loads(line)
             try:
-                rec = DatasetRecord(
-                    id=obj["id"],
-                    question=obj["question"],
-                    answer=obj["answer"],
-                    sub_aspects=tuple(obj["sub_aspects"]),
-                    sub_answers=tuple(obj["sub_answers"]),
-                )
+                values = {f.name: obj[f.name] for f in dataclasses.fields(DatasetRecord)}
             except KeyError as err:
                 raise ValueError(f"record at line {lineno} missing field {err}") from err
+            for name, value in values.items():
+                if name in ("sub_aspects", "sub_answers"):
+                    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+                        raise ValueError(f"record at line {lineno}: {name} must be "
+                                         "a list of strings")
+                    values[name] = tuple(value)
+                elif not isinstance(value, str):
+                    raise ValueError(f"record at line {lineno}: {name} must be a string")
+            rec = DatasetRecord(**values)
             if len(rec.sub_aspects) != len(rec.sub_answers) or not rec.sub_aspects:
                 raise ValueError(f"record {rec.id}: sub_aspects and sub_answers "
                                  "must be aligned and non-empty")
@@ -232,20 +244,6 @@ def _write_stage(stage: str, inputs: RunInputs, out_dir: str, rows: list[dict],
     return {"count": len(rows), "failures": failures}
 
 
-def _read_rows(out_dir: str, stage: str, inputs: RunInputs) -> list[dict]:
-    """Rows after the header of a stage's artifact; rejects a missing artifact
-    and one written under another config or from other input files."""
-    path = _artifact_path(out_dir, stage)
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"missing artifact: {stage}")
-    with open(path, encoding="utf-8") as fh:
-        lines = [json.loads(l) for l in fh if l.strip()]
-    for key, value in inputs.header.items():
-        if not lines or lines[0].get(key) != value:
-            raise ValueError(f"artifact {key} mismatch: {path}")
-    return lines[1:]
-
-
 class _ByQuery(dict):
     """An upstream stage's rows by query id. A query with no row failed
     upstream; asking for it raises ValueError, so it fails here too."""
@@ -256,6 +254,23 @@ class _ByQuery(dict):
 
     def __missing__(self, query_id):
         raise ValueError(f"failed upstream: no {self.stage} row for {query_id}")
+
+
+def _upstream(out_dir: str, inputs: RunInputs, stage: str,
+              parse=lambda row: row) -> _ByQuery:
+    """An upstream stage's rows after the header, each through `parse`, by
+    query id; rejects a missing artifact and one written under another
+    config or from other input files."""
+    path = _artifact_path(out_dir, stage)
+    if not os.path.exists(path):
+        raise FileNotFoundError(f"missing artifact: {stage}")
+    with open(path, encoding="utf-8") as fh:
+        lines = [json.loads(l) for l in fh if l.strip()]
+    for key, value in inputs.header.items():
+        if not lines or lines[0].get(key) != value:
+            raise ValueError(f"artifact {key} mismatch: {path}")
+    id_key = "id" if stage in ("aspects", "retrieve") else "query_id"
+    return _ByQuery(stage, ((row[id_key], parse(row)) for row in lines[1:]))
 
 
 def _per_query(inputs: RunInputs, job) -> tuple[list, list[dict]]:
@@ -274,11 +289,6 @@ def _per_query(inputs: RunInputs, job) -> tuple[list, list[dict]]:
 # ---------------------------------------------------------------------------
 # stage implementations; upstream artifacts and whole-input state are read
 # before the per-query loop, so an error there aborts the stage
-
-
-def _load_index(out_dir: str, inputs: RunInputs) -> InvertedIndex:
-    _read_rows(out_dir, "index", inputs)  # index.json is one header line
-    return inputs.index
 
 
 def _stage_index(config, inputs, out_dir):
@@ -309,34 +319,29 @@ def _stage_aspects(config, inputs, out_dir):
     return _write_stage("aspects", inputs, out_dir, *_per_query(inputs, job))
 
 
-def _load_aspects(out_dir: str, inputs: RunInputs) -> dict[str, SubAspectList]:
-    return _ByQuery("aspects", ((r["id"], SubAspectList(tuple(r["aspects"]), source=r["source"]))
-                                for r in _read_rows(out_dir, "aspects", inputs)))
+def _aspects(row: dict) -> SubAspectList:
+    return SubAspectList(tuple(row["aspects"]), source=row["source"])
 
 
 def _stage_retrieve(config, inputs, out_dir):
-    index = _load_index(out_dir, inputs)
-    aspects = _load_aspects(out_dir, inputs)
+    _upstream(out_dir, inputs, "index")  # index.json is one header line
+    index = inputs.index
+    aspects = _upstream(out_dir, inputs, "aspects", _aspects)
 
     def job(_position, rec):
         lists = retrieve_per_aspect(index, rec.question, aspects[rec.id],
                                     config.n_per_aspect)
-        return [{"id": rec.id, "lists": [[[d, s] for d, s in lst] for lst in lists]}]
+        return [{"id": rec.id, "lists": lists}]
     return _write_stage("retrieve", inputs, out_dir, *_per_query(inputs, job))
 
 
-def _load_retrieve(out_dir: str, inputs: RunInputs) -> dict[str, list[list[tuple[str, float]]]]:
-    return _ByQuery("retrieve", ((r["id"], [[(d, s) for d, s in lst] for lst in r["lists"]])
-                                 for r in _read_rows(out_dir, "retrieve", inputs)))
-
-
 def _stage_pool(config, inputs, out_dir):
-    aspects = _load_aspects(out_dir, inputs)
-    lists = _load_retrieve(out_dir, inputs)
+    aspects = _upstream(out_dir, inputs, "aspects", _aspects)
+    retrieved = _upstream(out_dir, inputs, "retrieve")
     documents = inputs.documents
 
     def job(_position, rec):
-        pool = merge_pool(rec.question, aspects[rec.id], lists[rec.id],
+        pool = merge_pool(rec.question, aspects[rec.id], retrieved[rec.id]["lists"],
                           config.pool_capacity, documents)
         return [pool_to_dict(rec.id, pool)]
     return _write_stage("pool", inputs, out_dir, *_per_query(inputs, job))
@@ -344,10 +349,8 @@ def _stage_pool(config, inputs, out_dir):
 
 def _load_pools(out_dir: str, inputs: RunInputs) -> dict[str, CandidatePool]:
     questions = {rec.id: rec.question for rec in inputs.records}
-    return _ByQuery("pool", ((row["query_id"],
-                              pool_from_dict(row, questions[row["query_id"]],
-                                             inputs.documents))
-                             for row in _read_rows(out_dir, "pool", inputs)))
+    return _upstream(out_dir, inputs, "pool", lambda row: pool_from_dict(
+        row, questions[row["query_id"]], inputs.documents))
 
 
 def _stage_silver(config, inputs, out_dir):
@@ -437,13 +440,12 @@ def _random_pairs(lists, rng: random.Random):
 
 
 def _stage_eval(config, inputs, out_dir):
-    index = _load_index(out_dir, inputs)
+    _upstream(out_dir, inputs, "index")
+    index = inputs.index
     pools = _load_pools(out_dir, inputs)
-    per_aspect = _load_retrieve(out_dir, inputs)
-    silver_rows = _ByQuery("silver", ((r["query_id"], r)
-                                      for r in _read_rows(out_dir, "silver", inputs)))
-    rank_rows = _ByQuery("rank", ((r["query_id"], r)
-                                  for r in _read_rows(out_dir, "rank", inputs)))
+    retrieved = _upstream(out_dir, inputs, "retrieve")
+    silver_rows = _upstream(out_dir, inputs, "silver")
+    rank_rows = _upstream(out_dir, inputs, "rank")
     generator = _make_generator(config)
     cutoffs = list(config.ndcg_cutoffs)
 
@@ -460,7 +462,7 @@ def _stage_eval(config, inputs, out_dir):
                        for i in rank_rows[rec.id]["docids"]],
             "no_ranker": _plain_retrieval_ids(index, rec.question, config.k, pool),
             "rrf": evaluation.rrf_fuse(
-                [[d for d, _ in lst] for lst in per_aspect[rec.id]],
+                [[d for d, _ in lst] for lst in retrieved[rec.id]["lists"]],
                 k_rrf=config.k_rrf, top=config.k),
         }
         scored = {}

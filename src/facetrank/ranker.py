@@ -219,4 +219,7 @@ class RemoteBackend:
                            "scores", list)
         if len(scores) != len(self.candidate_texts):
             raise ValueError("remote backend returned wrong score count")
+        # type(), not isinstance: a JSON true is not a score
+        if not all(type(s) in (int, float) and math.isfinite(s) for s in scores):
+            raise ValueError("remote backend returned a score that is not a finite number")
         return np.asarray(scores, dtype=float)

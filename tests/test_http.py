@@ -143,6 +143,17 @@ def test_wrong_score_count_is_not_retried(server):
     assert len(server.received) == 1
 
 
+@pytest.mark.parametrize("scores", [[None, None], [float("nan"), 0.5], ["1.5", 0.5],
+                                    [True, 0.5]], ids=["null", "nan", "string", "bool"])
+def test_score_that_is_not_a_finite_number_is_not_retried(server, scores):
+    server.script += [reply({"scores": scores})]
+    backend = RemoteBackend(server.url, "q", ("a",), ["x", "y"],
+                            timeout=5, retries=3)
+    with pytest.raises(ValueError, match="not a finite number"):
+        backend.step_scores([])
+    assert len(server.received) == 1
+
+
 def test_remote_backend_takes_configured_retries():
     config = RunConfig(scorer_endpoint="http://127.0.0.1:9/", retries=4, timeout=2.0)
     backend = _make_backend(config, make_pool(["x", "y"]))
@@ -282,3 +293,26 @@ def test_generator_failure_on_second_system_leaves_no_eval_row(server, tmp_path,
     assert stats["report"]["num_queries"] == len(records) - 1
     assert _written_ids(tmp_path, "eval") == ({r.id for r in records} - {failing.id},
                                              [failing.id])
+
+
+@pytest.mark.parametrize("stage", ["rank", "pairs"])
+def test_null_scores_are_that_querys_failure(server, tmp_path, synthetic_paths, stage):
+    dataset, corpus = synthetic_paths
+    config = RunConfig(n_per_aspect=10, pool_capacity=12, k=3, num_samples=2,
+                       scorer_endpoint=server.url, retries=0, timeout=5)
+    records = load_dataset(dataset)
+    failing = records[1]
+    out = str(tmp_path)
+    for upstream in STAGES[:STAGES.index(stage)]:
+        run_stage(upstream, config, dataset, corpus, out)
+    _serve(server, records, lambda question: False)
+    serve = server.respond
+    server.respond = lambda payload: (
+        reply({"scores": [None] * len(payload["candidates"])})
+        if _question(payload) == failing.question else serve(payload))
+    stats = run_stage(stage, config, dataset, corpus, out)
+    assert stats["failures"] == [{"id": failing.id, "error": "remote backend returned "
+                                  "a score that is not a finite number"}]
+    assert "NaN" not in (tmp_path / f"{stage}.jsonl").read_text(encoding="utf-8")
+    written, _ = _written_ids(tmp_path, stage)
+    assert written == {r.id for r in records} - {failing.id}

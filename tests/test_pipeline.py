@@ -1,6 +1,8 @@
 import json
 import logging
 import os
+import re
+import shutil
 
 import pytest
 
@@ -92,6 +94,19 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     ("relevance_threshold", float("nan")),
     ("timeout", float("nan")),
     ("timeout", float("inf")),
+    ("allow_repetition", "no"),
+    ("allow_repetition", 1),
+    ("k", 2.5),
+    ("k", True),
+    ("num_samples", 2.0),
+    ("retries", 0.5),
+    ("seed", 1.5),
+    ("tau", True),
+    ("tau", "0.1"),
+    ("scorer_endpoint", 5),
+    ("ndcg_cutoffs", (1, 2.5)),
+    ("ndcg_cutoffs", (1, True)),
+    ("ndcg_cutoffs", [1, 3]),
 ])
 def test_config_rejects_bad_values(field, value):
     with pytest.raises(ValueError, match=field):
@@ -196,6 +211,21 @@ def test_load_dataset_rejects_record_without_text(tmp_path, over, message):
         load_dataset(str(path))
 
 
+@pytest.mark.parametrize("over,field", [
+    ({"sub_aspects": "ab", "sub_answers": "xy"}, "sub_aspects"),
+    ({"answer": 5}, "answer"),
+    ({"sub_answers": ["first part.", 5]}, "sub_answers"),
+    ({"sub_aspects": ["one", None]}, "sub_aspects"),
+    ({"id": 7}, "id"),
+    ({"question": ["tell me about x"]}, "question"),
+])
+def test_load_dataset_rejects_field_of_wrong_type(tmp_path, over, field):
+    path = tmp_path / "ds.jsonl"
+    _write_jsonl(path, [_record(), _record("r2", **over)])
+    with pytest.raises(ValueError, match=f"record at line 2: {field} must be"):
+        load_dataset(str(path))
+
+
 def test_load_dataset_warns_on_few_aspects(tmp_path, caplog):
     path = tmp_path / "ds.jsonl"
     _write_jsonl(path, [_record(sub_aspects=["one"], sub_answers=["first part. second part"])])
@@ -274,6 +304,50 @@ def test_fingerprint_mismatch_rejected(run_dir, synthetic_paths, small_config):
     other = dataclasses.replace(small_config, tau=0.31)
     with pytest.raises(ValueError, match="fingerprint mismatch"):
         run_stage("pool", other, dataset, corpus, run_dir)
+
+
+def _merge_into_header(path, **fields):
+    """Merge `fields` into line 1 of the artifact at `path`."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.readlines()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines([json.dumps({**json.loads(lines[0]), **fields}) + "\n"] + lines[1:])
+
+
+# stage -> the upstream artifacts it reads
+UPSTREAM = {"retrieve": ("index", "aspects"), "pool": ("aspects", "retrieve"),
+            "silver": ("pool",), "rank": ("pool",), "pairs": ("pool",),
+            "eval": ("index", "pool", "retrieve", "silver", "rank")}
+
+
+@pytest.fixture(scope="module")
+def two_record_run(tmp_path_factory, synthetic_paths, small_config):
+    """The first two fixture records and a full run's artifacts on them."""
+    root = tmp_path_factory.mktemp("two")
+    two = _first_two_records(root, synthetic_paths[0])
+    run_pipeline(small_config, two, synthetic_paths[1], str(root / "run"))
+    return two, str(root / "run")
+
+
+@pytest.mark.parametrize("damage", ["missing", "stale"])
+@pytest.mark.parametrize("stage,upstream",
+                         [(stage, up) for stage, ups in UPSTREAM.items() for up in ups])
+def test_stage_rejects_missing_or_stale_upstream(tmp_path, synthetic_paths, small_config,
+                                                 two_record_run, stage, upstream, damage):
+    import dataclasses
+    two, run = two_record_run
+    out = str(tmp_path / "run")
+    shutil.copytree(run, out)
+    path = os.path.join(out, pipeline._STAGES[upstream][1])
+    if damage == "missing":
+        os.remove(path)
+        error, message = FileNotFoundError, f"missing artifact: {upstream}$"
+    else:  # the header rewritten as another config would write it
+        other = dataclasses.replace(small_config, tau=0.31)
+        _merge_into_header(path, config_fingerprint=other.fingerprint())
+        error, message = ValueError, f"fingerprint mismatch: {re.escape(path)}$"
+    with pytest.raises(error, match=message):
+        run_stage(stage, small_config, two, synthetic_paths[1], out)
 
 
 def _assert_same_files(dir_a, dir_b):
@@ -385,6 +459,25 @@ def test_stage_alone_rejects_duplicate_doc_id(tmp_path, synthetic_paths, small_c
             fh.writelines([header + "\n"] + rows)
     with pytest.raises(ValueError, match="duplicate doc_id"):
         run_stage("pool", small_config, dataset, duplicated, out)
+
+
+@pytest.mark.parametrize("stage", ["retrieve", "silver", "rank", "pairs", "eval"])
+def test_later_stage_alone_rejects_duplicate_doc_id(tmp_path, synthetic_paths, small_config,
+                                                    two_record_run, stage):
+    # a whole-input error aborts the stage; it is not every query's failure
+    two, run = two_record_run
+    out = str(tmp_path / "run")
+    shutil.copytree(run, out)
+    with open(synthetic_paths[1], encoding="utf-8") as fh:
+        lines = [line for line in fh if line.strip()]
+    duplicated = str(tmp_path / "corpus.jsonl")
+    with open(duplicated, "w", encoding="utf-8") as fh:
+        fh.writelines(lines + lines[:1])
+    header = RunInputs(small_config, two, duplicated).header
+    for _job, name in pipeline._STAGES.values():
+        _merge_into_header(os.path.join(out, name), **header)
+    with pytest.raises(ValueError, match="duplicate doc_id"):
+        run_stage(stage, small_config, two, duplicated, out)
 
 
 def _first_two_records(tmp_path, dataset):
