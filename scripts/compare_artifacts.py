@@ -3,16 +3,17 @@
     python3 scripts/compare_artifacts.py PARENT_TREE CHANGE_TREE
 
 Each tree is a checkout of this repository. The inputs are made once: the
-shipped fixture under data/synthetic (default config), and the
-coverage-heavy, retrieval-heavy and long-list workloads of
-perfbench/workloads.py at seed 7 (their own configs). Each tree then runs,
-in its own subprocess with PYTHONPATH=<tree>/src, `run_pipeline` and a
-stage-by-stage run (`run_stage` per stage, each reading the inputs itself)
-on every input. Every file the two trees wrote is compared byte for byte,
-headers included; the script lists the files that differ or exist on one
-side only and exits 1 if there are any. It also prints the lines of Python
-under each tree's src/, so a refactor's two checks (the same artifacts from
-fewer lines) read off one run.
+shipped fixture under data/synthetic (run three times: default config,
+`ablation: no-sa` and `ablation: random-pairs`), and the coverage-heavy,
+retrieval-heavy and long-list workloads of perfbench/workloads.py at seed
+7 (their own configs). Each tree then runs, in its own subprocess with
+PYTHONPATH=<tree>/src, `run_pipeline` and a stage-by-stage run (`run_stage`
+per stage, each reading the inputs itself) on every input. Every file the
+two trees wrote is compared byte for byte, headers included; the script
+lists the files that differ or exist on one side only and exits 1 if there
+are any. It also prints the lines of Python under each tree's src/, so a
+refactor's two checks (the same artifacts from fewer lines) read off one
+run.
 """
 
 from __future__ import annotations
@@ -55,6 +56,8 @@ def make_inputs(work: str) -> list[dict]:
         shutil.copy(os.path.join(ROOT, "data", "synthetic", name), fixture)
     jobs = [{"name": "fixture", "dataset": os.path.join(fixture, "dataset.jsonl"),
              "corpus": os.path.join(fixture, "corpus.jsonl"), "config": {}}]
+    jobs += [{**jobs[0], "name": f"fixture-{ablation}", "config": {"ablation": ablation}}
+             for ablation in ("no-sa", "random-pairs")]
     for name in WORKLOADS:
         shape = workloads.WORKLOADS[name]
         dataset, corpus = workloads.generate(shape, SEED,

@@ -45,18 +45,34 @@ class InvertedIndex:
     b: float = 0.75
 
 
+def read_jsonl(path: str):
+    """Yield (line number, object) for each non-blank line; a line that is
+    not one JSON object is a ValueError naming the file and the line."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(map(str.strip, fh), start=1):
+            if not line:
+                continue
+            try:
+                obj, end = _raw_decode(line)
+                if end != len(line):
+                    raise json.JSONDecodeError("Extra data", line, end)
+            except json.JSONDecodeError as err:
+                err.args = (f"{path}: line {lineno} column {err.colno}: {err.msg}",)
+                raise
+            if type(obj) is not dict:
+                raise ValueError(f"{path}: line {lineno}: not a JSON object")
+            yield lineno, obj
+
+
 def load_corpus(path: str) -> list[Document]:
     """Read newline-delimited JSON documents."""
     docs = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj, end = _raw_decode(line)
-            if end != len(line):
-                raise json.JSONDecodeError("Extra data", line, end)
-            docs.append(Document(obj["doc_id"], obj.get("title", ""), obj["text"]))
+    for lineno, obj in read_jsonl(path):
+        doc = Document(obj["doc_id"], obj.get("title", ""), obj["text"])
+        if not (type(doc.doc_id) is str and type(doc.title) is str and type(doc.text) is str):
+            name = next(n for n in Document.__slots__ if type(getattr(doc, n)) is not str)
+            raise ValueError(f"{path}: document at line {lineno}: {name} must be a string")
+        docs.append(doc)
     return docs
 
 

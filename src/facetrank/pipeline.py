@@ -14,15 +14,15 @@ import dataclasses
 import hashlib
 import json
 import logging
-import math
 import os
 import random
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 from . import evaluation, preferences, silver
 from .aspects import HttpLlmClient, RemoteError, SubAspectList, predict_aspects
-from .corpus import Document, InvertedIndex, build_index, load_corpus, retrieve
+from .corpus import Document, InvertedIndex, build_index, load_corpus, read_jsonl, retrieve
 from .pool import CandidatePool, merge_pool, pool_from_dict, pool_to_dict, retrieve_per_aspect
 from .ranker import RankerConfig, RemoteBackend, rank, reference_backend
 from .text_metrics import PhiStore, tokenize
@@ -79,7 +79,8 @@ class RunConfig:
             if (not isinstance(value, _FIELD_TYPES[field.type])
                     or isinstance(value, bool) != (field.type == "bool")):
                 raise ValueError(f"{field.name} must be {field.type}, not {value!r}")
-            if isinstance(value, float) and not math.isfinite(value):
+            # the bound is false for NaN, +-inf and an int beyond the float range
+            if field.type == "float" and not abs(value) <= sys.float_info.max:
                 raise ValueError(f"{field.name} must be finite")
         for name in ("k", "n_per_aspect", "pool_capacity", "num_samples",
                      "generator_budget"):
@@ -119,42 +120,37 @@ def load_config(path: str | None, **overrides) -> RunConfig:
 
 def load_dataset(path: str) -> list[DatasetRecord]:
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            try:
-                values = {f.name: obj[f.name] for f in dataclasses.fields(DatasetRecord)}
-            except KeyError as err:
-                raise ValueError(f"record at line {lineno} missing field {err}") from err
-            for name, value in values.items():
-                if name in ("sub_aspects", "sub_answers"):
-                    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
-                        raise ValueError(f"record at line {lineno}: {name} must be "
-                                         "a list of strings")
-                    values[name] = tuple(value)
-                elif not isinstance(value, str):
-                    raise ValueError(f"record at line {lineno}: {name} must be a string")
-            rec = DatasetRecord(**values)
-            if len(rec.sub_aspects) != len(rec.sub_answers) or not rec.sub_aspects:
-                raise ValueError(f"record {rec.id}: sub_aspects and sub_answers "
-                                 "must be aligned and non-empty")
-            for i, sub_answer in enumerate(rec.sub_answers):
-                if not rec.sub_aspects[i].strip():
-                    raise ValueError(f"record {rec.id}: sub-aspect {i} is blank")
-                if not tokenize(sub_answer):
-                    raise ValueError(f"record {rec.id}: sub-answer {i} has no token")
-            for field in ("question", "answer"):
-                if not tokenize(getattr(rec, field)):
-                    raise ValueError(f"record {rec.id}: {field} has no token")
-            if len(rec.sub_aspects) < 2:
-                log.warning("record %s has fewer than 2 sub-aspects", rec.id)
-            if _squash(rec.answer) != _squash(" ".join(rec.sub_answers)):
-                log.warning("record %s: answer is not the concatenation of its "
-                            "sub-answers", rec.id)
-            records.append(rec)
+    for lineno, obj in read_jsonl(path):
+        try:
+            values = {f.name: obj[f.name] for f in dataclasses.fields(DatasetRecord)}
+        except KeyError as err:
+            raise ValueError(f"{path}: record at line {lineno} missing field {err}") from err
+        for name, value in values.items():
+            if name in ("sub_aspects", "sub_answers"):
+                if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+                    raise ValueError(f"{path}: record at line {lineno}: {name} must be "
+                                     "a list of strings")
+                values[name] = tuple(value)
+            elif not isinstance(value, str):
+                raise ValueError(f"{path}: record at line {lineno}: {name} must be a string")
+        rec = DatasetRecord(**values)
+        if len(rec.sub_aspects) != len(rec.sub_answers) or not rec.sub_aspects:
+            raise ValueError(f"record {rec.id}: sub_aspects and sub_answers "
+                             "must be aligned and non-empty")
+        for i, sub_answer in enumerate(rec.sub_answers):
+            if not rec.sub_aspects[i].strip():
+                raise ValueError(f"record {rec.id}: sub-aspect {i} is blank")
+            if not tokenize(sub_answer):
+                raise ValueError(f"record {rec.id}: sub-answer {i} has no token")
+        for field in ("question", "answer"):
+            if not tokenize(getattr(rec, field)):
+                raise ValueError(f"record {rec.id}: {field} has no token")
+        if len(rec.sub_aspects) < 2:
+            log.warning("record %s has fewer than 2 sub-aspects", rec.id)
+        if _squash(rec.answer) != _squash(" ".join(rec.sub_answers)):
+            log.warning("record %s: answer is not the concatenation of its "
+                        "sub-answers", rec.id)
+        records.append(rec)
     if not records:
         raise ValueError("empty dataset")
     return records
@@ -264,8 +260,7 @@ def _upstream(out_dir: str, inputs: RunInputs, stage: str,
     path = _artifact_path(out_dir, stage)
     if not os.path.exists(path):
         raise FileNotFoundError(f"missing artifact: {stage}")
-    with open(path, encoding="utf-8") as fh:
-        lines = [json.loads(l) for l in fh if l.strip()]
+    lines = [row for _, row in read_jsonl(path)]
     for key, value in inputs.header.items():
         if not lines or lines[0].get(key) != value:
             raise ValueError(f"artifact {key} mismatch: {path}")

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -219,7 +220,8 @@ class RemoteBackend:
                            "scores", list)
         if len(scores) != len(self.candidate_texts):
             raise ValueError("remote backend returned wrong score count")
-        # type(), not isinstance: a JSON true is not a score
-        if not all(type(s) in (int, float) and math.isfinite(s) for s in scores):
+        # type(), not isinstance: a JSON true is not a score; the bound is
+        # false for NaN, +-inf and an int beyond the float range
+        if not all(type(s) in (int, float) and abs(s) <= sys.float_info.max for s in scores):
             raise ValueError("remote backend returned a score that is not a finite number")
         return np.asarray(scores, dtype=float)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from collections import Counter
 
 import pytest
@@ -61,11 +62,28 @@ def test_load_corpus_reads_lines(tmp_path):
     ('{"doc_id":"d","text":"x"}{}', json.JSONDecodeError),
     ('{"doc_id":"d"', json.JSONDecodeError),
     ('{"doc_id":"d","title":"t"}', KeyError),
+    ('{"doc_id":5,"text":"x"}', ValueError),
+    ('{"doc_id":"d","text":5}', ValueError),
+    ('{"doc_id":"d","title":null,"text":"x"}', ValueError),
+    ('["d","t","x"]', ValueError),
 ])
 def test_load_corpus_rejects_bad_lines(tmp_path, line, error):
     path = tmp_path / "corpus.jsonl"
     path.write_text('{"doc_id": "ok", "text": "fine"}\n' + line + "\n")
     with pytest.raises(error):
+        load_corpus(str(path))
+
+
+@pytest.mark.parametrize("field,line", [
+    ("doc_id", '{"doc_id":5,"text":"x"}'),
+    ("title", '{"doc_id":"d","title":["t"],"text":"x"}'),
+    ("text", '{"doc_id":"d","title":"t","text":null}'),
+])
+def test_load_corpus_names_field_of_wrong_type(tmp_path, field, line):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"doc_id": "ok", "text": "fine"}\n' + line + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: document at line 2: "
+                                         f"{field} must be a string$"):
         load_corpus(str(path))
 
 

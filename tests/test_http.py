@@ -144,7 +144,8 @@ def test_wrong_score_count_is_not_retried(server):
 
 
 @pytest.mark.parametrize("scores", [[None, None], [float("nan"), 0.5], ["1.5", 0.5],
-                                    [True, 0.5]], ids=["null", "nan", "string", "bool"])
+                                    [True, 0.5], [10**400, 0.5]],
+                         ids=["null", "nan", "string", "bool", "huge-int"])
 def test_score_that_is_not_a_finite_number_is_not_retried(server, scores):
     server.script += [reply({"scores": scores})]
     backend = RemoteBackend(server.url, "q", ("a",), ["x", "y"],

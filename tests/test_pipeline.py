@@ -107,6 +107,9 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     ("ndcg_cutoffs", (1, 2.5)),
     ("ndcg_cutoffs", (1, True)),
     ("ndcg_cutoffs", [1, 3]),
+    pytest.param("tau", 10**400, id="tau-huge-int"),
+    pytest.param("k_rrf", 10**400, id="k_rrf-huge-int"),
+    pytest.param("bm25_k1", 10**400, id="bm25_k1-huge-int"),
 ])
 def test_config_rejects_bad_values(field, value):
     with pytest.raises(ValueError, match=field):
@@ -348,6 +351,58 @@ def test_stage_rejects_missing_or_stale_upstream(tmp_path, synthetic_paths, smal
         error, message = ValueError, f"fingerprint mismatch: {re.escape(path)}$"
     with pytest.raises(error, match=message):
         run_stage(stage, small_config, two, synthetic_paths[1], out)
+
+
+def _jsonl_file(reader, tmp_path, synthetic_paths, small_config, two_record_run):
+    """A JSONL file one of the three readers reads, and a call that reads it:
+    the dataset, the corpus, or retrieve.jsonl read by the pool stage."""
+    if reader == "dataset":
+        path = str(tmp_path / "ds.jsonl")
+        _write_jsonl(path, [_record("r1"), _record("r2")])
+        return path, lambda: load_dataset(path)
+    if reader == "corpus":
+        path = str(tmp_path / "corpus.jsonl")
+        _write_jsonl(path, [{"doc_id": "d0", "text": "x"}, {"doc_id": "d1", "text": "y"}])
+        return path, lambda: load_corpus(path)
+    two, run = two_record_run
+    out = str(tmp_path / "run")
+    shutil.copytree(run, out)
+
+    def read_upstream():
+        run_stage("pool", small_config, two, synthetic_paths[1], out)
+        with open(os.path.join(out, "pool.jsonl"), "rb") as fh:
+            return fh.read()
+    return os.path.join(out, "retrieve.jsonl"), read_upstream
+
+
+def _rewrite_lines(path, edit):
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(edit(lines)) + "\n")
+
+
+READERS = ["dataset", "corpus", "upstream"]
+
+
+@pytest.mark.parametrize("bad", ['{"id": "q"', '["not", "an", "object"]', '{"id": "q"} {}'],
+                         ids=["not-json", "array", "trailing-data"])
+@pytest.mark.parametrize("reader", READERS)
+def test_jsonl_reader_names_file_and_line_of_bad_line(tmp_path, synthetic_paths, small_config,
+                                                      two_record_run, reader, bad):
+    path, read = _jsonl_file(reader, tmp_path, synthetic_paths, small_config, two_record_run)
+    _rewrite_lines(path, lambda lines: lines[:1] + ["", bad] + lines[1:])
+    with pytest.raises(ValueError, match=rf"^{re.escape(path)}: line 3\b"):
+        read()
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_jsonl_reader_skips_blank_lines(tmp_path, synthetic_paths, small_config,
+                                        two_record_run, reader):
+    path, read = _jsonl_file(reader, tmp_path, synthetic_paths, small_config, two_record_run)
+    expected = read()
+    _rewrite_lines(path, lambda lines: [""] + [f"{line}\n  \t\n" for line in lines])
+    assert read() == expected
 
 
 def _assert_same_files(dir_a, dir_b):
