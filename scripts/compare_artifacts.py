@@ -11,8 +11,9 @@ PYTHONPATH=<tree>/src, `run_pipeline` and a stage-by-stage run (`run_stage`
 per stage, each reading the inputs itself) on every input. Every file the
 two trees wrote is compared byte for byte, headers included; the script
 lists the files that differ or exist on one side only and exits 1 if there
-are any. It also prints the lines of Python under each tree's src/, so a
-refactor's two checks (the same artifacts from fewer lines) read off one
+are any. It also prints the lines of each Python module under each tree's
+src/, one module a line, and their total, so a refactor's two checks (the
+same artifacts from fewer lines) and its per-module counts read off one
 run.
 """
 
@@ -93,15 +94,17 @@ def compare(dir_a: str, dir_b: str) -> tuple[int, list[str]]:
     return len(files_a | files_b), differ
 
 
-def src_lines(tree: str) -> int:
-    """Lines in the .py files under the tree's src/."""
-    total = 0
-    for top, _, names in os.walk(os.path.join(tree, "src")):
+def src_lines(tree: str) -> dict[str, int]:
+    """Lines in each .py file under the tree's src/, by path below src/."""
+    src = os.path.join(tree, "src")
+    lines = {}
+    for top, _, names in os.walk(src):
         for name in names:
             if name.endswith(".py"):
-                with open(os.path.join(top, name), "rb") as fh:
-                    total += sum(1 for _ in fh)
-    return total
+                path = os.path.join(top, name)
+                with open(path, "rb") as fh:
+                    lines[os.path.relpath(path, src)] = sum(1 for _ in fh)
+    return lines
 
 
 def main(argv: list[str]) -> int:
@@ -120,7 +123,10 @@ def main(argv: list[str]) -> int:
     for line in differ:
         print(line)
     print(f"{total - len(differ)} of {total} files byte-identical")
-    print(f"src/ lines: {src_lines(argv[0])} → {src_lines(argv[1])}")
+    parent, change = src_lines(argv[0]), src_lines(argv[1])
+    for module in sorted(parent.keys() | change.keys()):
+        print(f"src/{module}: {parent.get(module, 0)} → {change.get(module, 0)}")
+    print(f"src/ lines: {sum(parent.values())} → {sum(change.values())}")
     return 1 if differ else 0
 
 

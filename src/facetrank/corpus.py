@@ -65,13 +65,20 @@ def read_jsonl(path: str):
 
 
 def load_corpus(path: str) -> list[Document]:
-    """Read newline-delimited JSON documents."""
+    """Read newline-delimited JSON documents, each doc_id on one line only."""
     docs = []
+    first_line: dict[str, int] = {}
     for lineno, obj in read_jsonl(path):
-        doc = Document(obj["doc_id"], obj.get("title", ""), obj["text"])
+        try:
+            doc = Document(obj["doc_id"], obj.get("title", ""), obj["text"])
+        except KeyError as err:
+            raise KeyError(f"{path}: document at line {lineno} missing field {err}") from None
         if not (type(doc.doc_id) is str and type(doc.title) is str and type(doc.text) is str):
             name = next(n for n in Document.__slots__ if type(getattr(doc, n)) is not str)
             raise ValueError(f"{path}: document at line {lineno}: {name} must be a string")
+        if first_line.setdefault(doc.doc_id, lineno) != lineno:
+            raise ValueError(f"{path}: duplicate doc_id {doc.doc_id} at lines "
+                             f"{first_line[doc.doc_id]} and {lineno}")
         docs.append(doc)
     return docs
 

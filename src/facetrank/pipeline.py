@@ -15,7 +15,6 @@ import hashlib
 import json
 import logging
 import os
-import random
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -108,18 +107,21 @@ def load_config(path: str | None, **overrides) -> RunConfig:
     if path:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
+        if type(data) is not dict:
+            raise ValueError(f"{path}: config must be one JSON object")
     data.update({k: v for k, v in overrides.items() if v is not None})
     known = {f.name for f in dataclasses.fields(RunConfig)}
     unknown = set(data) - known
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    if "ndcg_cutoffs" in data:
+    if isinstance(data.get("ndcg_cutoffs"), list):
         data["ndcg_cutoffs"] = tuple(data["ndcg_cutoffs"])
     return RunConfig(**data)
 
 
 def load_dataset(path: str) -> list[DatasetRecord]:
     records = []
+    first_line: dict[str, int] = {}
     for lineno, obj in read_jsonl(path):
         try:
             values = {f.name: obj[f.name] for f in dataclasses.fields(DatasetRecord)}
@@ -133,6 +135,9 @@ def load_dataset(path: str) -> list[DatasetRecord]:
                 values[name] = tuple(value)
             elif not isinstance(value, str):
                 raise ValueError(f"{path}: record at line {lineno}: {name} must be a string")
+        if first_line.setdefault(values["id"], lineno) != lineno:
+            raise ValueError(f"{path}: duplicate id {values['id']} at lines "
+                             f"{first_line[values['id']]} and {lineno}")
         rec = DatasetRecord(**values)
         if len(rec.sub_aspects) != len(rec.sub_answers) or not rec.sub_aspects:
             raise ValueError(f"record {rec.id}: sub_aspects and sub_answers "
@@ -197,12 +202,7 @@ class RunInputs:
 
     @cached_property
     def documents(self) -> dict[str, Document]:
-        documents: dict[str, Document] = {}
-        for doc in load_corpus(self.paths[1]):
-            if doc.doc_id in documents:
-                raise ValueError(f"duplicate doc_id {doc.doc_id}")
-            documents[doc.doc_id] = doc
-        return documents
+        return {doc.doc_id: doc for doc in load_corpus(self.paths[1])}
 
     @cached_property
     def index(self) -> InvertedIndex:
@@ -314,8 +314,8 @@ def _stage_aspects(config, inputs, out_dir):
     return _write_stage("aspects", inputs, out_dir, *_per_query(inputs, job))
 
 
-def _aspects(row: dict) -> SubAspectList:
-    return SubAspectList(tuple(row["aspects"]), source=row["source"])
+def _aspects(row: dict) -> tuple[str, ...]:
+    return SubAspectList(tuple(row["aspects"]), source=row["source"]).aspects
 
 
 def _stage_retrieve(config, inputs, out_dir):
@@ -403,7 +403,7 @@ def _stage_pairs(config, inputs, out_dir):
             pool, rcfg, _make_backend(config, pool), generator,
             rec.answer, list(rec.sub_answers), config.num_samples)
         if config.ablation == "random-pairs":
-            pairs = _random_pairs(lists, random.Random(config.seed + position))
+            pairs = preferences.random_pairs(lists, config.seed + position)
         else:
             pairs = preferences.build_us3_pairs(lists, config.mu)
         return [{
@@ -417,21 +417,6 @@ def _stage_pairs(config, inputs, out_dir):
             "beta": config.beta,
         } for p in pairs]
     return _write_stage("pairs", inputs, out_dir, *_per_query(inputs, job))
-
-
-def _random_pairs(lists, rng: random.Random):
-    """Ablation: pair arbitrary lists, winner by reward, no significance rule."""
-    pairs = []
-    n = len(lists)
-    for _ in range(n - 1):
-        i, j = rng.sample(range(n), 2)
-        a, b = lists[i], lists[j]
-        if a.reward == b.reward:
-            continue
-        winner, loser = (a, b) if a.reward > b.reward else (b, a)
-        pairs.append(preferences.PreferencePair(winner, loser,
-                                                winner.reward - loser.reward))
-    return pairs
 
 
 def _stage_eval(config, inputs, out_dir):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .aspects import SubAspectList
 from .corpus import Document, InvertedIndex, retrieve
 
 
@@ -27,13 +26,13 @@ class CandidatePool:
     candidates: list[Candidate]  # in admission order
 
 
-def retrieve_per_aspect(index: InvertedIndex, query: str, aspects: SubAspectList,
+def retrieve_per_aspect(index: InvertedIndex, query: str, aspects: tuple[str, ...],
                         n: int) -> list[list[tuple[str, float]]]:
     """Retrieve top-n documents for every "query aspect" concatenation."""
-    return [retrieve(index, f"{query} {a}", n) for a in aspects.aspects]
+    return [retrieve(index, f"{query} {a}", n) for a in aspects]
 
 
-def merge_pool(query: str, aspects: SubAspectList,
+def merge_pool(query: str, aspects: tuple[str, ...],
                per_aspect_lists: list[list[tuple[str, float]]],
                capacity: int, documents: dict[str, Document]) -> CandidatePool:
     """Deduplicating interleaved merge of per-aspect retrieval lists.
@@ -59,7 +58,7 @@ def merge_pool(query: str, aspects: SubAspectList,
                 admitted[doc_id] = Candidate(documents[doc_id], {aspect_idx: pos + 1})
             elif aspect_idx not in cand.best_rank:
                 cand.best_rank[aspect_idx] = pos + 1
-    return CandidatePool(query, aspects.aspects, list(admitted.values()))
+    return CandidatePool(query, aspects, list(admitted.values()))
 
 
 def pool_to_dict(query_id: str, pool: CandidatePool) -> dict:

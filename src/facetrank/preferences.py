@@ -2,13 +2,14 @@
 
 Pairs follow two rules: unilaterality (one member is always the greedy
 list, the other a sampled one) and significance (the reward gap must
-exceed mu). Parameter updates are out of scope; the DPO loss is exposed
-as a pure function for external trainers.
+exceed mu); the random-pairs ablation drops both. Parameter updates are
+out of scope; the DPO loss is a pure function for external trainers.
 """
 
 from __future__ import annotations
 
 import math
+import random
 import re
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -24,7 +25,6 @@ class RewardedList:
     list: RankingList
     response: str
     reward: float
-    provenance: str  # greedy | sampled
 
 
 @dataclass
@@ -114,36 +114,44 @@ def generate_rewarded_lists(pool: CandidatePool, config: RankerConfig, backend,
     """One greedy list plus num_samples sampled lists, each rewarded."""
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
-    lists = [(rank(pool, config, backend, mode="greedy"), "greedy")]
+    rankings = [rank(pool, config, backend, mode="greedy")]
     for i in range(num_samples):
         cfg = replace(config, seed=config.seed + i)
-        lists.append((rank(pool, cfg, backend, mode="sampled"), "sampled"))
+        rankings.append(rank(pool, cfg, backend, mode="sampled"))
     out = []
-    for ranking, provenance in lists:
+    for ranking in rankings:
         docs = [pool.candidates[d].doc.text for d in ranking.docids]
         response = generator.generate(pool.query, docs)
-        out.append(RewardedList(ranking, response,
-                                reward(response, answer, sub_answers), provenance))
+        out.append(RewardedList(ranking, response, reward(response, answer, sub_answers)))
     return out
+
+
+def _pair(a: RewardedList, b: RewardedList) -> PreferencePair:
+    """The higher-reward list wins; the gap is its reward minus the loser's."""
+    winner, loser = (a, b) if a.reward > b.reward else (b, a)
+    return PreferencePair(winner, loser, winner.reward - loser.reward)
 
 
 def build_us3_pairs(lists: list[RewardedList], mu: float) -> list[PreferencePair]:
     """Unilateral significance pairing against the single greedy list."""
     if mu < 0:
         raise ValueError("mu must be >= 0")
-    greedy = [l for l in lists if l.provenance == "greedy"]
+    greedy = [l for l in lists if l.list.mode == "greedy"]
     if len(greedy) != 1:
         raise ValueError("unilaterality violated")
-    g = greedy[0]
+    pairs = (_pair(s, greedy[0]) for s in lists if s.list.mode == "sampled")
+    return [p for p in pairs if p.gap > mu]
+
+
+def random_pairs(lists: list[RewardedList], seed: int) -> list[PreferencePair]:
+    """Ablation: len(lists) - 1 seeded draws of two lists, with no
+    unilaterality or significance rule; a draw of equal rewards is skipped."""
+    rng = random.Random(seed)
     pairs = []
-    for s in lists:
-        if s.provenance != "sampled":
-            continue
-        gap = abs(s.reward - g.reward)
-        if gap <= mu:
-            continue
-        winner, loser = (s, g) if s.reward > g.reward else (g, s)
-        pairs.append(PreferencePair(winner, loser, gap))
+    for _ in range(len(lists) - 1):
+        a, b = rng.sample(lists, 2)
+        if a.reward != b.reward:
+            pairs.append(_pair(a, b))
     return pairs
 
 

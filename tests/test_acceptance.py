@@ -221,7 +221,7 @@ def _rewarded(reward_value, provenance, seed_list):
     return RewardedList(
         list=RankingList(docids=seed_list, step_logprobs=[0.0] * len(seed_list),
                          mode=provenance),
-        response="r", reward=reward_value, provenance=provenance)
+        response="r", reward=reward_value)
 
 
 def test_acceptance_pair_selection_rule():
@@ -237,7 +237,7 @@ def test_acceptance_pair_selection_rule():
                            if abs(greedy.reward - s.reward) > mu)
             assert len(pairs) == expected
             for p in pairs:
-                assert {p.winner.provenance, p.loser.provenance} == \
+                assert {p.winner.list.mode, p.loser.list.mode} == \
                     {"greedy", "sampled"}
                 assert p.winner.reward - p.loser.reward > mu
         # worked fixture: greedy 0.50 against samples 0.65 / 0.55 / 0.30

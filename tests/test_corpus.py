@@ -75,6 +75,27 @@ def test_load_corpus_rejects_bad_lines(tmp_path, line, error):
 
 
 @pytest.mark.parametrize("field,line", [
+    ("doc_id", '{"title":"t","text":"x"}'),
+    ("text", '{"doc_id":"d","title":"t"}'),
+])
+def test_load_corpus_names_missing_field(tmp_path, field, line):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"doc_id": "ok", "text": "fine"}\n' + line + "\n")
+    with pytest.raises(KeyError, match=f"{re.escape(str(path))}: document at line 2 "
+                                       f"missing field '{field}'"):
+        load_corpus(str(path))
+
+
+def test_load_corpus_rejects_duplicate_doc_id(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"doc_id": "a", "text": "x"}\n\n{"doc_id": "b", "text": "y"}\n'
+                    '{"doc_id": "a", "text": "z"}\n')
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: duplicate doc_id a "
+                                         "at lines 1 and 4$"):
+        load_corpus(str(path))
+
+
+@pytest.mark.parametrize("field,line", [
     ("doc_id", '{"doc_id":5,"text":"x"}'),
     ("title", '{"doc_id":"d","title":["t"],"text":"x"}'),
     ("text", '{"doc_id":"d","title":"t","text":null}'),

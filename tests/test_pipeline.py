@@ -59,6 +59,30 @@ def test_load_config_rejects_unknown_keys(tmp_path):
         load_config(str(path))
 
 
+@pytest.mark.parametrize("content", [[1, 2], None, "k"])
+def test_load_config_rejects_file_without_object(tmp_path, content):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(content))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: config must be "
+                                         "one JSON object$"):
+        load_config(str(path))
+
+
+@pytest.mark.parametrize("cutoffs", [5, None])
+def test_load_config_rejects_cutoffs_not_a_list(tmp_path, cutoffs):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"ndcg_cutoffs": cutoffs}))
+    with pytest.raises(ValueError, match="ndcg_cutoffs must be"):
+        load_config(str(path))
+
+
+def test_load_config_cutoffs_override():
+    with pytest.raises(ValueError, match="ndcg_cutoffs must be"):
+        load_config(None, ndcg_cutoffs=5)
+    assert load_config(None, ndcg_cutoffs=[1, 3]).ndcg_cutoffs == (1, 3)
+    assert load_config(None, ndcg_cutoffs=(2,)).ndcg_cutoffs == (2,)
+
+
 @pytest.mark.parametrize("field,value", [
     ("aspect_mode", "whatever"),
     ("ablation", "bogus"),
@@ -183,6 +207,26 @@ def test_load_dataset_missing_field(tmp_path):
     _write_jsonl(path, [rec])
     with pytest.raises(ValueError, match="missing field"):
         load_dataset(str(path))
+
+
+def test_load_dataset_rejects_duplicate_id(tmp_path):
+    path = tmp_path / "ds.jsonl"
+    _write_jsonl(path, [_record(), _record("r2"), _record()])
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: duplicate id r1 "
+                                         "at lines 1 and 3$"):
+        load_dataset(str(path))
+
+
+def test_pipeline_rejects_dataset_with_repeated_record(tmp_path, synthetic_paths,
+                                                       small_config):
+    # a repeated id would write three rank rows under a report of two queries
+    dataset, corpus = synthetic_paths
+    with open(dataset, encoding="utf-8") as fh:
+        lines = [fh.readline(), fh.readline()]
+    repeated = tmp_path / "dataset.jsonl"
+    repeated.write_text("".join(lines + lines[:1]), encoding="utf-8")
+    with pytest.raises(ValueError, match="duplicate id .* at lines 1 and 3$"):
+        run_pipeline(small_config, str(repeated), corpus, str(tmp_path / "run"))
 
 
 def test_load_dataset_misaligned(tmp_path):

@@ -1,6 +1,5 @@
 import pytest
 
-from facetrank.aspects import SubAspectList
 from facetrank.corpus import Document, build_index
 from facetrank.pool import merge_pool, pool_from_dict, pool_to_dict, retrieve_per_aspect
 
@@ -10,7 +9,7 @@ def doc_map(*ids):
 
 
 def aspects(n):
-    return SubAspectList(tuple(f"aspect{i}" for i in range(n)), source="gold")
+    return tuple(f"aspect{i}" for i in range(n))
 
 
 def as_lists(*id_lists):
@@ -81,7 +80,7 @@ def test_merge_capacity_validation():
 def test_retrieve_per_aspect_concatenates_with_space():
     docs = [Document("d0", "", "blue whale ocean"), Document("d1", "", "red fox forest")]
     index = build_index(docs)
-    asp = SubAspectList(("ocean", "forest"), source="gold")
+    asp = ("ocean", "forest")
     lists = retrieve_per_aspect(index, "animal", asp, 50)
     assert len(lists) == 2
     assert lists[0][0][0] == "d0"
@@ -90,7 +89,7 @@ def test_retrieve_per_aspect_concatenates_with_space():
 
 def test_retrieve_per_aspect_empty_list_for_unmatched_aspect():
     index = build_index([Document("d0", "", "alpha beta")])
-    asp = SubAspectList(("nomatch",), source="gold")
+    asp = ("nomatch",)
     assert retrieve_per_aspect(index, "zzz", asp, 5) == [[]]
 
 

@@ -8,13 +8,13 @@ from conftest import make_pool
 from facetrank.preferences import (OracleGenerator, PreferencePair, RewardedList,
                                    build_us3_pairs, dpo_loss_value,
                                    generate_rewarded_lists, oracle_generate,
-                                   reward)
+                                   random_pairs, reward)
 from facetrank.ranker import RankerConfig, RankingList, UniformBackend
 from facetrank.text_metrics import com_rouge, phi, tokenize, unigram_f1
 
 
-def rewarded(value, provenance):
-    return RewardedList(RankingList([0], [0.0], provenance), "resp", value, provenance)
+def rewarded(value, mode):
+    return RewardedList(RankingList([0], [0.0], mode), "resp", value)
 
 
 def test_reward_maximal_and_zero():
@@ -113,7 +113,7 @@ def test_us3_worked_fixture():
     assert pairs[1].winner.reward == 0.50 and pairs[1].loser.reward == 0.30
     for p in pairs:
         assert p.gap > 0.1
-        assert {p.winner.provenance, p.loser.provenance} == {"greedy", "sampled"}
+        assert {p.winner.list.mode, p.loser.list.mode} == {"greedy", "sampled"}
 
 
 def test_us3_all_within_mu():
@@ -147,8 +147,52 @@ def test_us3_random_batches_respect_rules():
         for p in build_us3_pairs(lists, mu):
             assert p.gap > mu
             assert p.winner.reward > p.loser.reward
-            provs = sorted((p.winner.provenance, p.loser.provenance))
+            provs = sorted((p.winner.list.mode, p.loser.list.mode))
             assert provs == ["greedy", "sampled"]
+
+
+def test_us3_gap_is_exact_reward_difference():
+    rng = random.Random(17)
+    for _ in range(50):
+        greedy = rewarded(rng.uniform(0, 2), "greedy")
+        lists = [greedy] + [rewarded(rng.uniform(0, 2), "sampled")
+                            for _ in range(rng.randint(1, 6))]
+        for p in build_us3_pairs(lists, 0.0):
+            sampled = p.loser if p.winner is greedy else p.winner
+            assert p.gap == abs(sampled.reward - greedy.reward)
+
+
+def random_lists(rng, n):
+    return [rewarded(rng.uniform(0, 2), "greedy")] + \
+        [rewarded(rng.uniform(0, 2), "sampled") for _ in range(n - 1)]
+
+
+def test_random_pairs_same_seed_same_pairs():
+    lists = random_lists(random.Random(3), 7)
+    pairs = random_pairs(lists, 11)
+    assert pairs and pairs == random_pairs(lists, 11)
+    # the draws are those of sampling two positions from a Random(seed)
+    rng, expected = random.Random(11), []
+    for _ in range(len(lists) - 1):
+        i, j = rng.sample(range(len(lists)), 2)
+        expected.append(tuple(sorted((lists[i], lists[j]), key=lambda l: -l.reward)))
+    assert [(p.winner, p.loser) for p in pairs] == expected
+
+
+def test_random_pairs_skip_equal_rewards():
+    lists = [rewarded(0.5, "greedy"), rewarded(0.5, "sampled"), rewarded(0.5, "sampled")]
+    assert random_pairs(lists, 0) == []
+
+
+def test_random_pairs_rules():
+    rng = random.Random(23)
+    for seed in range(50):
+        lists = random_lists(rng, rng.randint(2, 7))
+        pairs = random_pairs(lists, seed)
+        assert len(pairs) <= len(lists) - 1
+        for p in pairs:
+            assert p.winner.reward > p.loser.reward
+            assert p.gap == p.winner.reward - p.loser.reward
 
 
 def test_dpo_symmetric_inputs():
@@ -194,7 +238,7 @@ def test_generate_rewarded_lists_counting_and_determinism():
                                    "aa bb cc dd ee ff", ["aa bb cc", "dd ee ff"],
                                    num_samples=3)
     assert len(out1) == 4
-    assert sum(1 for l in out1 if l.provenance == "greedy") == 1
+    assert sum(1 for l in out1 if l.list.mode == "greedy") == 1
     out2 = generate_rewarded_lists(pool, cfg, UniformBackend(3), gen,
                                    "aa bb cc dd ee ff", ["aa bb cc", "dd ee ff"],
                                    num_samples=3)
@@ -211,7 +255,7 @@ def test_generate_rewarded_lists_oracle_reaches_max_reward():
     out = generate_rewarded_lists(pool, cfg, UniformBackend(1),
                                   OracleGenerator(budget=1),
                                   answer, [answer], num_samples=1)
-    greedy = next(l for l in out if l.provenance == "greedy")
+    greedy = next(l for l in out if l.list.mode == "greedy")
     assert greedy.reward == pytest.approx(2.0)
 
 
