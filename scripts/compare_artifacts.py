@@ -11,7 +11,10 @@ PYTHONPATH=<tree>/src, `run_pipeline` and a stage-by-stage run (`run_stage`
 per stage, each reading the inputs itself) on every input. Every file the
 two trees wrote is compared byte for byte, headers included; the script
 lists the files that differ or exist on one side only and exits 1 if there
-are any. It also prints the lines of each Python module under each tree's
+are any. Under each file that differs it names what differs: for a file
+whose lines are all JSON, each differing line with the leaf key names whose
+values differ there (say `map`, `ndcg@1`); for any other file, the numbers
+of the differing lines. It also prints the lines of each Python module under each tree's
 src/, one module a line, and their total, so a refactor's two checks (the
 same artifacts from fewer lines) and its per-module counts read off one
 run.
@@ -19,6 +22,7 @@ run.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import shutil
@@ -81,16 +85,60 @@ def _files(top: str) -> set[str]:
             for d, _, names in os.walk(top) for f in names}
 
 
+def _leaves(value, path=()) -> dict[tuple, str]:
+    """The repr of every leaf of a JSON value, by its path of keys and list
+    indices; repr keeps 1 apart from 1.0 and true, and NaN equal to NaN."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return {path: repr(value)}
+    leaves = {}
+    for key, item in items:
+        leaves.update(_leaves(item, path + (key,)))
+    return leaves
+
+
+def _leaf_name(path: tuple) -> str:
+    """The last key name on a leaf's path; list indices are skipped."""
+    return next((key for key in reversed(path) if isinstance(key, str)), "(top)")
+
+
+def describe(data_a: bytes, data_b: bytes) -> list[str]:
+    """What differs between two versions of one file. If every line of both
+    is JSON, one entry per differing line naming the leaf keys whose values
+    differ (a key only one side holds differs); otherwise one entry listing
+    the numbers of the differing lines."""
+    lines_a, lines_b = data_a.splitlines(), data_b.splitlines()
+    numbers = [n for n, (a, b) in enumerate(
+        itertools.zip_longest(lines_a, lines_b, fillvalue=None), start=1) if a != b]
+    try:
+        json_a, json_b = ([json.loads(line) for line in lines] for lines in (lines_a, lines_b))
+    except ValueError:
+        return ["lines " + ", ".join(map(str, numbers))]
+    entries = []
+    for n in numbers:
+        leaves_a = _leaves(json_a[n - 1]) if n <= len(json_a) else {}
+        leaves_b = _leaves(json_b[n - 1]) if n <= len(json_b) else {}
+        keys = {_leaf_name(path) for path in leaves_a.keys() | leaves_b.keys()
+                if leaves_a.get(path) != leaves_b.get(path)}
+        entries.append(f"line {n}: " + (", ".join(sorted(keys)) or "same values"))
+    return entries
+
+
 def compare(dir_a: str, dir_b: str) -> tuple[int, list[str]]:
-    """Number of files compared, and the files that differ or exist once."""
+    """Number of files compared, and the files that differ, each with what
+    differs in it, or exist once."""
     files_a, files_b = _files(dir_a), _files(dir_b)
     differ = sorted(f"only in {'parent' if f in files_a else 'change'}: {f}"
                     for f in files_a ^ files_b)
     for rel in sorted(files_a & files_b):
         with open(os.path.join(dir_a, rel), "rb") as fa, \
                 open(os.path.join(dir_b, rel), "rb") as fb:
-            if fa.read() != fb.read():
-                differ.append(f"differs: {rel}")
+            data_a, data_b = fa.read(), fb.read()
+        if data_a != data_b:
+            differ.append("\n    ".join([f"differs: {rel}", *describe(data_a, data_b)]))
     return len(files_a | files_b), differ
 
 

@@ -7,6 +7,7 @@ characters inside aspect text.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 
@@ -24,39 +25,27 @@ class SubAspectList:
 
 EXPLORER_PROMPT = "List the sub-aspects of the question: {query}"
 
+_SEGMENT = re.compile(r"\[([^][]*)\]")  # one segment, no bracket inside
+_BRACKET = re.compile(r"[][]")
+
 
 def format_target(aspects: SubAspectList) -> str:
     """Serialize aspects as the explorer's SFT target string."""
-    for a in aspects.aspects:
-        if "[" in a or "]" in a:
-            raise ValueError("aspect contains bracket")
+    if any(_BRACKET.search(a) for a in aspects.aspects):
+        raise ValueError("aspect contains bracket")
     return "".join(f"[{a}]" for a in aspects.aspects)
 
 
 def parse_aspects(raw: str) -> SubAspectList:
-    """Extract top-level bracketed segments, in order.
+    """Extract bracketed segments, in order.
 
     Whitespace inside segments is trimmed and empty segments dropped.
-    Text outside brackets is ignored; unbalanced or nested brackets are
-    rejected.
+    Text outside brackets is ignored; a bracket left once every segment is
+    removed (unbalanced or nested) is rejected.
     """
-    segments = []
-    current: list[str] | None = None
-    for ch in raw:
-        if ch == "[":
-            if current is not None:
-                raise ValueError("malformed aspect string")
-            current = []
-        elif ch == "]":
-            if current is None:
-                raise ValueError("malformed aspect string")
-            segments.append("".join(current).strip())
-            current = None
-        elif current is not None:
-            current.append(ch)
-    if current is not None:
+    if _BRACKET.search(_SEGMENT.sub("", raw)):
         raise ValueError("malformed aspect string")
-    aspects = tuple(s for s in segments if s)
+    aspects = tuple(s.strip() for s in _SEGMENT.findall(raw) if s.strip())
     if not aspects:
         raise ValueError("no aspects parsed")
     return SubAspectList(aspects, source="predicted")

@@ -2,7 +2,8 @@
 
 Response metrics compare a generated answer against the gold answer and
 sub-answers; ranking metrics use binary relevance labels derived from a
-coverage threshold against the gold answer.
+coverage threshold against a reference text (the pipeline labels a
+document relevant when it covers some sub-answer).
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ def evaluate_response(response: str, answer: str, sub_answers: list[str]) -> dic
 
 def label_relevance(pool: CandidatePool, answer: str, threshold: float = 0.5,
                     store: PhiStore | None = None) -> set[str]:
-    """Doc ids whose coverage of the gold answer strictly exceeds threshold.
+    """Doc ids whose coverage of `answer`, one reference text, strictly
+    exceeds threshold.
 
     The coverage is read from `store` when given (the answer must be one of
     its references).

@@ -22,7 +22,8 @@ from functools import cached_property
 from . import evaluation, preferences, silver
 from .aspects import HttpLlmClient, RemoteError, SubAspectList, predict_aspects
 from .corpus import Document, InvertedIndex, build_index, load_corpus, read_jsonl, retrieve
-from .pool import CandidatePool, merge_pool, pool_from_dict, pool_to_dict, retrieve_per_aspect
+from .pool import (Candidate, CandidatePool, merge_pool, pool_from_dict, pool_to_dict,
+                   retrieve_per_aspect)
 from .ranker import RankerConfig, RemoteBackend, rank, reference_backend
 from .text_metrics import PhiStore, tokenize
 
@@ -193,11 +194,11 @@ class RunInputs:
         self._coverage: dict[DatasetRecord, PhiStore] = {}
 
     def coverage(self, rec: DatasetRecord) -> PhiStore:
-        """The record's phi store against its sub-answers and answer, shared
-        by the silver, relevance and NCOM scoring of the run."""
+        """The record's phi store against its sub-answers, shared by the
+        silver, relevance and NCOM scoring of the run."""
         store = self._coverage.get(rec)
         if store is None:
-            store = self._coverage[rec] = PhiStore(rec.sub_answers + (rec.answer,))
+            store = self._coverage[rec] = PhiStore(rec.sub_answers)
         return store
 
     @cached_property
@@ -434,9 +435,6 @@ def _stage_eval(config, inputs, out_dir):
         store = inputs.coverage(rec)
         silver_texts = [pool.candidates[i].doc.text
                         for i in silver_rows[rec.id]["docids"]]
-        relevant = evaluation.label_relevance(pool, rec.answer,
-                                              config.relevance_threshold, store)
-
         systems = {
             "ranked": [pool.candidates[i].doc.doc_id
                        for i in rank_rows[rec.id]["docids"]],
@@ -445,13 +443,24 @@ def _stage_eval(config, inputs, out_dir):
                 [[d for d, _ in lst] for lst in retrieved[rec.id]["lists"]],
                 k_rrf=config.k_rrf, top=config.k),
         }
+        # a document is relevant when it covers some sub-answer; the pool and
+        # every scored list are labelled
+        ids = dict.fromkeys([c.doc.doc_id for c in pool.candidates]
+                            + [d for doc_ids in systems.values() for d in doc_ids])
+        labelled = CandidatePool(pool.query, pool.aspects,
+                                 [Candidate(inputs.documents[d], {}) for d in ids])
+        relevant = set().union(*(
+            evaluation.label_relevance(labelled, a, config.relevance_threshold, store)
+            for a in rec.sub_answers))
         scored = {}
         for name, doc_ids in systems.items():
             texts = [inputs.documents[d].text for d in doc_ids]
             response = generator.generate(rec.question, texts)
             metrics = evaluation.evaluate_response(response, rec.answer,
                                                    list(rec.sub_answers))
-            metrics.update(evaluation.ranking_metrics(doc_ids, relevant, cutoffs))
+            # map and ndcg@c are undefined for a query with nothing relevant
+            ranking = evaluation.ranking_metrics(doc_ids, relevant, cutoffs)
+            metrics.update(ranking if relevant else {"no_relevant": ranking["no_relevant"]})
             if len(texts) == len(silver_texts):
                 metrics["ncom"] = evaluation.ncom(texts, silver_texts,
                                                   list(rec.sub_answers), store)
@@ -461,7 +470,8 @@ def _stage_eval(config, inputs, out_dir):
     per_query = dict(rows)
 
     # each mean is over the queries that define the metric (ncom needs a
-    # list as long as the silver one), never imputing a missing value
+    # list as long as the silver one, map and ndcg@c a relevant document),
+    # never imputing a missing value
     defined: dict[str, dict[str, list[float]]] = {}
     for systems_metrics in per_query.values():
         for name, metrics in systems_metrics.items():

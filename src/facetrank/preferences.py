@@ -23,7 +23,6 @@ from .text_metrics import clipped_overlap, com_rouge, f1_of, phi, tokenize
 @dataclass
 class RewardedList:
     list: RankingList
-    response: str
     reward: float
 
 
@@ -122,7 +121,7 @@ def generate_rewarded_lists(pool: CandidatePool, config: RankerConfig, backend,
     for ranking in rankings:
         docs = [pool.candidates[d].doc.text for d in ranking.docids]
         response = generator.generate(pool.query, docs)
-        out.append(RewardedList(ranking, response, reward(response, answer, sub_answers)))
+        out.append(RewardedList(ranking, reward(response, answer, sub_answers)))
     return out
 
 

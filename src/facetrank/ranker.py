@@ -123,16 +123,6 @@ def sequence_log_prob(pool: CandidatePool, config: RankerConfig, backend,
     return total
 
 
-class UniformBackend:
-    """Constant scores: every unmasked candidate is equally likely."""
-
-    def __init__(self, pool_size: int):
-        self.pool_size = pool_size
-
-    def step_scores(self, selected) -> np.ndarray:
-        return np.zeros(self.pool_size)
-
-
 class ReferenceBackend:
     """Deterministic lexical backend usable without any trained model.
 

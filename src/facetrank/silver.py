@@ -18,7 +18,6 @@ from .text_metrics import PhiStore
 class SilverTarget:
     docids: list[int]
     step_utilities: list[float]
-    weight_trace: list[list[float]]
 
 
 def weights_from_rows(rows: list[list[float]], n: int) -> list[float]:
@@ -66,7 +65,6 @@ def build_silver_list(pool: CandidatePool, sub_answers: list[str], k: int,
     cov = store.rows([c.doc.text for c in pool.candidates], sub_answers)
     docids: list[int] = []
     utilities: list[float] = []
-    trace: list[list[float]] = []
     remaining = list(range(len(cov)))
     for _ in range(k):
         w = weights_from_rows([cov[i] for i in docids], len(sub_answers))
@@ -77,6 +75,5 @@ def build_silver_list(pool: CandidatePool, sub_answers: list[str], k: int,
                 best, best_gain = i, gain
         docids.append(best)
         utilities.append(best_gain)
-        trace.append(w)
         remaining.remove(best)
-    return SilverTarget(docids, utilities, trace)
+    return SilverTarget(docids, utilities)

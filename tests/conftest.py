@@ -1,5 +1,6 @@
 import os
 
+import numpy as np
 import pytest
 
 from facetrank.corpus import Document
@@ -21,3 +22,13 @@ def make_pool(texts, query="q", aspects=("a",)):
         for i, t in enumerate(texts)
     ]
     return CandidatePool(query, tuple(aspects), candidates)
+
+
+class UniformBackend:
+    """Constant scores: every unmasked candidate is equally likely."""
+
+    def __init__(self, pool_size):
+        self.pool_size = pool_size
+
+    def step_scores(self, selected):
+        return np.zeros(self.pool_size)

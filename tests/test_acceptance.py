@@ -221,7 +221,7 @@ def _rewarded(reward_value, provenance, seed_list):
     return RewardedList(
         list=RankingList(docids=seed_list, step_logprobs=[0.0] * len(seed_list),
                          mode=provenance),
-        response="r", reward=reward_value)
+        reward=reward_value)
 
 
 def test_acceptance_pair_selection_rule():

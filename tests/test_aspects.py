@@ -37,6 +37,65 @@ def test_parse_aspects_errors():
         parse_aspects("[nested[x]]")
 
 
+def scan_aspects(raw):
+    """The character-by-character bracket scanner the grammar replaced: the
+    top-level segments, or the ValueError message it raises."""
+    segments = []
+    current = None
+    for ch in raw:
+        if ch == "[":
+            if current is not None:
+                raise ValueError("malformed aspect string")
+            current = []
+        elif ch == "]":
+            if current is None:
+                raise ValueError("malformed aspect string")
+            segments.append("".join(current).strip())
+            current = None
+        elif current is not None:
+            current.append(ch)
+    if current is not None:
+        raise ValueError("malformed aspect string")
+    aspects = tuple(s for s in segments if s)
+    if not aspects:
+        raise ValueError("no aspects parsed")
+    return aspects
+
+
+def outcome(parse, raw):
+    """The aspects parse returns for raw, or the message of its ValueError."""
+    try:
+        return ("aspects", parse(raw))
+    except ValueError as err:
+        return ("error", str(err))
+
+
+def parsed(raw):
+    return parse_aspects(raw).aspects
+
+
+MALFORMED = ("error", "malformed aspect string")
+
+
+@pytest.mark.parametrize("raw, expected", [
+    ("][", MALFORMED),
+    ("[a]]", MALFORMED),
+    ("[[a]]", MALFORMED),
+    ("[a][", MALFORMED),
+    ("[]", ("error", "no aspects parsed")),
+    ("[ ][\t]", ("error", "no aspects parsed")),
+    ("lead [one] mid [two] tail", ("aspects", ("one", "two"))),
+    ("[first\nsecond]\n[\tb ]", ("aspects", ("first\nsecond", "b"))),
+])
+def test_parse_aspects_cases_agree_with_scanner(raw, expected):
+    assert outcome(parsed, raw) == outcome(scan_aspects, raw) == expected
+
+
+@given(st.text(alphabet="[]abAB \t\n", max_size=24))
+def test_parse_aspects_equals_scanner(raw):
+    assert outcome(parsed, raw) == outcome(scan_aspects, raw)
+
+
 aspect_text = st.text(
     alphabet=st.characters(blacklist_characters="[]", blacklist_categories=("Cs",)),
     min_size=1,

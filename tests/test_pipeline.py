@@ -18,7 +18,9 @@ from facetrank.pipeline import (
     run_pipeline,
     run_stage,
 )
+from facetrank.evaluation import ranking_metrics
 from facetrank.pool import CandidatePool
+from facetrank.text_metrics import phi
 from conftest import make_pool
 
 
@@ -509,8 +511,7 @@ def test_pipeline_scores_each_text_once_per_record(tmp_path, synthetic_paths,
     monkeypatch.setattr(text_metrics, "profile", counted_profile)
     run_pipeline(small_config, *synthetic_paths, str(tmp_path))
     assert set(profiled.values()) == {1}
-    refs = {rec.id: rec.sub_answers + (rec.answer,)
-            for rec in load_dataset(synthetic_paths[0])}
+    refs = {rec.id: rec.sub_answers for rec in load_dataset(synthetic_paths[0])}
     assert {key for key, _ in profiled} == set(refs.values())
     texts = {d.doc_id: d.text for d in load_corpus(synthetic_paths[1])}
     with open(tmp_path / "pool.jsonl", encoding="utf-8") as fh:
@@ -614,6 +615,90 @@ def test_eval_means_skip_undefined_metrics(tmp_path, synthetic_paths, small_conf
     assert report["mean_counts"]["rrf"]["ncom"] == 1
     assert report["mean_counts"]["rrf"]["f1"] == 2
     assert report["mean_counts"]["ranked"]["ncom"] == 2
+
+
+def test_every_fixture_query_has_a_relevant_document(run_dir, synthetic_paths, small_config):
+    """Every fixture query has pool documents that cover one of its
+    sub-answers, and the ranked list's metrics are those of that set."""
+    records = {rec.id: rec for rec in load_dataset(synthetic_paths[0])}
+    texts = {d.doc_id: d.text for d in load_corpus(synthetic_paths[1])}
+    rows = {}
+    for name in ("pool.jsonl", "rank.jsonl"):
+        with open(os.path.join(run_dir, name), encoding="utf-8") as fh:
+            rows[name] = {row["query_id"]: row for row in map(json.loads, list(fh)[1:])}
+    with open(os.path.join(run_dir, "report.json"), encoding="utf-8") as fh:
+        per_query = json.load(fh)["per_query"]
+    assert len(per_query) == 20
+    for qid, systems in per_query.items():
+        pool_ids = [c["doc_id"] for c in rows["pool.jsonl"][qid]["candidates"]]
+        relevant = {d for d in pool_ids if max(phi(texts[d], a) for a in records[qid].sub_answers)
+                    > small_config.relevance_threshold}
+        assert relevant
+        ranked = [pool_ids[i] for i in rows["rank.jsonl"][qid]["docids"]]
+        expected = ranking_metrics(ranked, relevant, list(small_config.ndcg_cutoffs))
+        assert {key: systems["ranked"][key] for key in expected} == expected
+        for metrics in systems.values():
+            assert metrics["no_relevant"] == 0.0
+            assert "map" in metrics
+
+
+def test_relevant_document_outside_the_pool_counts(tmp_path, synthetic_paths, small_config):
+    """The first query's pool is swapped for documents that cover none of its
+    sub-answers before silver and rank run, and its retrieve lists are cut to
+    one document that covers its last sub-answer: the rrf list is that one
+    document, outside the pool, and it is labelled relevant."""
+    dataset, corpus = synthetic_paths
+    two = _first_two_records(tmp_path, dataset)
+    out = str(tmp_path / "run")
+    for stage in ("index", "aspects", "retrieve", "pool"):
+        run_stage(stage, small_config, two, corpus, out)
+    rec = load_dataset(two)[0]
+    texts = {d.doc_id: d.text for d in load_corpus(corpus)}
+
+    def covers(doc_id, sub_answers):
+        return max(phi(texts[doc_id], a) for a in sub_answers) > \
+            small_config.relevance_threshold
+    uncovering = iter(d for d in texts if not covers(d, rec.sub_answers))
+    last = next(d for d in texts if covers(d, rec.sub_answers[-1:]))
+
+    def swap_pool(lines):
+        row = json.loads(lines[1])
+        for cand in row["candidates"]:
+            cand["doc_id"] = next(uncovering)
+        return [lines[0], json.dumps(row)] + lines[2:]
+
+    def only_last(lines):
+        row = json.loads(lines[1])
+        row["lists"] = [[[last, 1.0]]]
+        return [lines[0], json.dumps(row)] + lines[2:]
+    _rewrite_lines(os.path.join(out, "pool.jsonl"), swap_pool)
+    _rewrite_lines(os.path.join(out, "retrieve.jsonl"), only_last)
+    for stage in ("silver", "rank"):
+        run_stage(stage, small_config, two, corpus, out)
+    metrics = run_stage("eval", small_config, two, corpus, out)["report"]["per_query"][rec.id]
+    assert metrics["rrf"]["no_relevant"] == 0.0 and metrics["rrf"]["map"] == 1.0
+    assert metrics["ranked"]["no_relevant"] == 0.0 and metrics["ranked"]["map"] == 0.0
+
+
+def test_query_without_relevant_document_is_counted_out_of_map(tmp_path, synthetic_paths,
+                                                              small_config):
+    dataset, corpus = synthetic_paths
+    two = _first_two_records(tmp_path, dataset)
+
+    def uncoverable(lines):  # sub-answers of the second record no document covers
+        rec = json.loads(lines[1])
+        rec["sub_answers"] = [f"unseen{i} words{i}" for i in range(len(rec["sub_answers"]))]
+        return [lines[0], json.dumps(rec)]
+    _rewrite_lines(two, uncoverable)
+    report = run_pipeline(small_config, two, corpus, str(tmp_path / "run"))
+    first, second = report["per_query"].values()
+    for name in ("ranked", "no_ranker", "rrf"):
+        assert first[name]["no_relevant"] == 0.0 and second[name]["no_relevant"] == 1.0
+        assert "map" in first[name] and "map" not in second[name]
+        assert not any(key.startswith("ndcg@") for key in second[name])
+        assert report["mean_counts"][name]["map"] == 1
+        assert report["mean_counts"][name]["no_relevant"] == 2
+        assert report["means"][name]["map"] == first[name]["map"]
 
 
 def test_query_failure_is_recorded_and_skipped(tmp_path, synthetic_paths, small_config):

@@ -4,17 +4,17 @@ import re
 
 import pytest
 
-from conftest import make_pool
+from conftest import UniformBackend, make_pool
 from facetrank.preferences import (OracleGenerator, PreferencePair, RewardedList,
                                    build_us3_pairs, dpo_loss_value,
                                    generate_rewarded_lists, oracle_generate,
                                    random_pairs, reward)
-from facetrank.ranker import RankerConfig, RankingList, UniformBackend
+from facetrank.ranker import RankerConfig, RankingList
 from facetrank.text_metrics import com_rouge, phi, tokenize, unigram_f1
 
 
 def rewarded(value, mode):
-    return RewardedList(RankingList([0], [0.0], mode), "resp", value)
+    return RewardedList(RankingList([0], [0.0], mode), value)
 
 
 def test_reward_maximal_and_zero():

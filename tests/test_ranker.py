@@ -4,11 +4,11 @@ import random
 import numpy as np
 import pytest
 
-from conftest import make_pool
+from conftest import UniformBackend, make_pool
 from facetrank.corpus import Document
 from facetrank.pool import Candidate
-from facetrank.ranker import (RankerConfig, UniformBackend, _draw, masked_softmax, rank,
-                              reference_backend, sequence_log_prob)
+from facetrank.ranker import (RankerConfig, _draw, masked_softmax, rank, reference_backend,
+                              sequence_log_prob)
 from facetrank.silver import weights_from_rows
 from facetrank.text_metrics import phi, tokenize
 

@@ -56,6 +56,12 @@ def test_coverage_gain_dimension_mismatch():
         coverage_gain("x", [1.0], ["a", "b"])
 
 
+def prefix_weights(pool, target, t, subs):
+    """The aspect weights the silver list's step t read: those of its first
+    t documents."""
+    return aspect_weights([pool.candidates[i].doc.text for i in target.docids[:t]], subs)
+
+
 def test_build_silver_pool_of_one():
     subs = ["alpha beta", "gamma delta"]
     pool = make_pool(["alpha beta something"])
@@ -63,7 +69,7 @@ def test_build_silver_pool_of_one():
     assert target.docids == [0]
     expected = sum(phi(pool.candidates[0].doc.text, a) for a in subs)
     assert target.step_utilities[0] == pytest.approx(expected)
-    assert target.weight_trace[0] == [1.0, 1.0]
+    assert prefix_weights(pool, target, 0, subs) == [1.0, 1.0]
 
 
 def test_build_silver_diversifies_across_aspects():
@@ -77,7 +83,7 @@ def test_build_silver_diversifies_across_aspects():
     assert phi(both, a1) + phi(both, a2) < 1.0 + phi(a1, a2) + 1e-9
     target = build_silver_list(pool, [a1, a2], 2)
     assert target.docids == [0, 1]
-    assert target.weight_trace[1] == [0.0, 1.0]
+    assert prefix_weights(pool, target, 1, [a1, a2]) == [0.0, 1.0]
     assert target.step_utilities == pytest.approx([1.0, 1.0])
 
 
@@ -123,22 +129,24 @@ def test_greedy_certificate_random_instances():
     rng = random.Random(1234)
     for _ in range(60):
         texts, subs, k = random_instance(rng)
-        target = build_silver_list(make_pool(texts), subs, k)
+        pool = make_pool(texts)
+        target = build_silver_list(pool, subs, k)
         chosen = []
         for t in range(k):
             best, gain, w = oracle_step(texts, subs, chosen)
             assert target.docids[t] == best
             assert target.step_utilities[t] == pytest.approx(gain, abs=1e-12)
-            assert target.weight_trace[t] == pytest.approx(w, abs=1e-12)
+            weights = prefix_weights(pool, target, t, subs)
+            assert weights == pytest.approx(w, abs=1e-12)
+            assert all(0 <= wi <= 1 for wi in weights)
             chosen.append(best)
         assert len(set(target.docids)) == k
         assert all(u >= 0 for u in target.step_utilities)
-        assert all(0 <= wi <= 1 for row in target.weight_trace for wi in row)
 
 
 def reference_greedy(texts, subs, k):
     """The greedy loop that recomputes phi at every step."""
-    docids, utilities, trace = [], [], []
+    docids, utilities = [], []
     remaining = list(range(len(texts)))
     for _ in range(k):
         w = aspect_weights([texts[i] for i in docids], subs)
@@ -149,9 +157,8 @@ def reference_greedy(texts, subs, k):
                 best, best_gain = i, gain
         docids.append(best)
         utilities.append(best_gain)
-        trace.append(w)
         remaining.remove(best)
-    return docids, utilities, trace
+    return docids, utilities
 
 
 def test_build_silver_equals_reference_greedy():
@@ -164,5 +171,4 @@ def test_build_silver_equals_reference_greedy():
                 for _ in range(rng.randint(1, 5))]
         k = rng.randint(1, n_docs)
         target = build_silver_list(make_pool(texts), subs, k)
-        assert (target.docids, target.step_utilities, target.weight_trace) == \
-            reference_greedy(texts, subs, k)
+        assert (target.docids, target.step_utilities) == reference_greedy(texts, subs, k)
