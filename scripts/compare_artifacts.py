@@ -3,8 +3,9 @@
     python3 scripts/compare_artifacts.py PARENT_TREE CHANGE_TREE
 
 Each tree is a checkout of this repository. The inputs are made once: the
-shipped fixture under data/synthetic (run three times: default config,
-`ablation: no-sa` and `ablation: random-pairs`), and the coverage-heavy,
+shipped fixture under data/synthetic (run four times: default config,
+`ablation: no-sa`, `ablation: random-pairs` and `allow_repetition: true`,
+whose decodes repeat docids), and the coverage-heavy,
 retrieval-heavy and long-list workloads of perfbench/workloads.py at seed
 7 (their own configs). Each tree then runs, in its own subprocess with
 PYTHONPATH=<tree>/src, `run_pipeline` and a stage-by-stage run (`run_stage`
@@ -63,6 +64,8 @@ def make_inputs(work: str) -> list[dict]:
              "corpus": os.path.join(fixture, "corpus.jsonl"), "config": {}}]
     jobs += [{**jobs[0], "name": f"fixture-{ablation}", "config": {"ablation": ablation}}
              for ablation in ("no-sa", "random-pairs")]
+    jobs.append({**jobs[0], "name": "fixture-allow-repetition",
+                 "config": {"allow_repetition": True}})
     for name in WORKLOADS:
         shape = workloads.WORKLOADS[name]
         dataset, corpus = workloads.generate(shape, SEED,

@@ -51,13 +51,15 @@ def label_relevance(pool: CandidatePool, answer: str, threshold: float = 0.5,
 
 def ranking_metrics(ranked_docids: list[str], relevant: set[str],
                     cutoffs: list[int]) -> dict[str, float]:
-    """Binary-gain MAP and NDCG@k; zero (flagged) when nothing is relevant."""
+    """Binary-gain MAP and NDCG@k; zero (flagged) when nothing is relevant.
+    A repeated document is a hit at its first position only, as in trec_eval."""
     if any(c < 1 for c in cutoffs):
         raise ValueError("cutoffs must be positive")
     out: dict[str, float] = {}
     n_rel = len(relevant)
     out["no_relevant"] = float(n_rel == 0)
-    hits = [1.0 if d in relevant else 0.0 for d in ranked_docids]
+    hits = [1.0 if d in relevant and ranked_docids.index(d) == pos else 0.0
+            for pos, d in enumerate(ranked_docids)]
     if n_rel == 0:
         out["map"] = 0.0
         for c in cutoffs:

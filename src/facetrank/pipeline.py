@@ -181,8 +181,9 @@ class RunInputs:
     """The inputs of one run: the dataset records, the document map from one
     corpus parse and the BM25 index built from it, each made when a stage
     first asks for it, the header every artifact carries (config
-    fingerprint and input-file digest), and one store of phi floats per
-    record (`coverage`).
+    fingerprint and input-file digest), one store of phi floats per
+    record (`coverage`), and each pool's score backend from `rank` until
+    `pairs` takes it (`backends`, by `_pool_key`).
     """
 
     def __init__(self, config: RunConfig, dataset_path: str, corpus_path: str):
@@ -192,6 +193,7 @@ class RunInputs:
         self.header = {"config_fingerprint": config.fingerprint(),
                        "input_digest": _input_digest(dataset_path, corpus_path)}
         self._coverage: dict[DatasetRecord, PhiStore] = {}
+        self.backends: dict[tuple, object] = {}
 
     def coverage(self, rec: DatasetRecord) -> PhiStore:
         """The record's phi store against its sub-answers, shared by the
@@ -368,6 +370,10 @@ def _make_backend(config: RunConfig, pool: CandidatePool):
     return reference_backend(pool.query, pool.aspects, pool.candidates)
 
 
+def _pool_key(pool: CandidatePool) -> tuple:  # what its backend is made from
+    return pool.query, pool.aspects, tuple(c.doc.text for c in pool.candidates)
+
+
 def _ranker_config(config: RunConfig) -> RankerConfig:
     return RankerConfig(k=config.k, tau=config.tau,
                         allow_repetition=config.allow_repetition,
@@ -379,7 +385,9 @@ def _stage_rank(config, inputs, out_dir):
     rcfg = _ranker_config(config)
 
     def job(_position, rec):
-        ranking = rank(pools[rec.id], rcfg, _make_backend(config, pools[rec.id]))
+        pool = pools[rec.id]
+        backend = inputs.backends[_pool_key(pool)] = _make_backend(config, pool)
+        ranking = rank(pool, rcfg, backend)
         return [{"query_id": rec.id, "docids": ranking.docids,
                  "step_logprobs": ranking.step_logprobs, "mode": ranking.mode}]
     return _write_stage("rank", inputs, out_dir, *_per_query(inputs, job))
@@ -400,8 +408,10 @@ def _stage_pairs(config, inputs, out_dir):
 
     def job(position, rec):
         pool = pools[rec.id]
+        # rank's backend, its steps kept; alone, or where rank failed, a new one
+        backend = inputs.backends.pop(_pool_key(pool), None) or _make_backend(config, pool)
         lists = preferences.generate_rewarded_lists(
-            pool, rcfg, _make_backend(config, pool), generator,
+            pool, rcfg, backend, generator,
             rec.answer, list(rec.sub_answers), config.num_samples)
         if config.ablation == "random-pairs":
             pairs = preferences.random_pairs(lists, config.seed + position)

@@ -17,7 +17,7 @@ import itertools
 import math
 import random
 import sys
-from collections import defaultdict
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,54 +133,62 @@ class ReferenceBackend:
     already-selected documents cover its text (same normalization as
     silver-list construction, with aspect text standing in for the
     sub-answers that are unavailable at inference time).
+
+    The state is zero past the query and aspect terms, first in vocabulary
+    order, so only their columns are kept, their count rounded up to a
+    multiple of 128 (at most the vocabulary). OpenBLAS sums a dot product in
+    SIMD accumulators by column position: on an AVX-512 Xeon (OpenBLAS
+    0.3.31) a cut at the exact count moved the last bits of 1 norm in 4,
+    rounding up to 16 still some, to 32, 64 or 128 none; 128 leaves margin.
+    Each prefix's scores are kept, read-only.
     """
 
     def __init__(self, query: str, aspects: tuple[str, ...], candidates: list[Candidate]):
         if not aspects:
             raise ValueError("aspects must be non-empty")
-        # term ids in order of first appearance over query, aspects and pool;
-        # phi reads only which tokens are equal, so it is scored on the ids
-        vocab = defaultdict(itertools.count().__next__)
-        query_ids = [vocab[t] for t in tokenize(query)]
-        aspect_ids = [[vocab[t] for t in tokenize(a)] for a in aspects]
-        self._doc_ids = [[vocab[t] for t in tokenize(c.doc.text)] for c in candidates]
-        dim = max(len(vocab), 1)
-        self.encodings = _unit_tf_rows(self._doc_ids, dim)
-        self.aspect_vectors = _unit_tf_rows([query_ids + ids for ids in aspect_ids], dim)
-        self._aspect_profiles = [Profile(ids) for ids in aspect_ids]
+        query_tokens = tokenize(query)
+        aspect_tokens = [tokenize(a) for a in aspects]
+        self._texts = [c.doc.text for c in candidates]  # held, not their tokens
+        doc_tokens = [tokenize(text) for text in self._texts]
+        terms = dict.fromkeys(itertools.chain(query_tokens, *aspect_tokens))
+        width, vocab = -(-len(terms) // 128) * 128, set(terms)
+        for tokens in itertools.takewhile(lambda _: len(vocab) < width, doc_tokens):
+            vocab.update(tokens)
+        width = min(width, max(len(vocab), 1))
+        self.encodings = _unit_tf(doc_tokens, terms, width)
+        self.aspect_vectors = _unit_tf([query_tokens + t for t in aspect_tokens], terms, width)
+        self._aspect_profiles = [Profile(tokens) for tokens in aspect_tokens]
         self._coverage: dict[int, list[float]] = {}  # pool position -> phi row
+        self._scores: dict[tuple[int, ...], np.ndarray] = {}  # prefix -> scores
 
     def step_scores(self, selected) -> np.ndarray:
-        for i in selected:
-            if i not in self._coverage:
-                doc = Profile(self._doc_ids[i])
-                self._coverage[i] = [phi_profiles(doc, a) for a in self._aspect_profiles]
-        w = weights_from_rows([self._coverage[i] for i in selected],
-                              len(self._aspect_profiles))
+        key = tuple(selected)
+        if key in self._scores:
+            return self._scores[key]
+        for i in set(key) - self._coverage.keys():
+            doc = Profile(tokenize(self._texts[i]))
+            self._coverage[i] = [phi_profiles(doc, a) for a in self._aspect_profiles]
+        w = weights_from_rows([self._coverage[i] for i in key], len(self._aspect_profiles))
         h = np.zeros(self.encodings.shape[1])
         for wj, vj in zip(w, self.aspect_vectors):
             h += wj * vj
         norm = np.linalg.norm(h)
         if norm > 0:
             h = h / norm
-        return self.encodings @ h
+        scores = self._scores[key] = self.encodings @ h
+        scores.flags.writeable = False
+        return scores
 
 
-def _unit_tf_rows(rows: list[list[int]], dim: int) -> np.ndarray:
-    """Unit-normalized term-frequency row per list of term ids; an empty list
-    gives a zero row.
-
-    The counts are whole numbers, so each row's sum of squares is exact in
-    any order and its norm equals np.linalg.norm of the row.
-    """
-    lengths = [len(r) for r in rows]
-    keys = np.repeat(np.arange(len(rows)) * dim, lengths)
-    keys += np.fromiter(itertools.chain.from_iterable(rows), dtype=np.intp,
-                        count=sum(lengths))
-    tf = np.bincount(keys, weights=np.ones(len(keys)), minlength=len(rows) * dim)
-    tf = tf.astype(np.float64, copy=False).reshape(len(rows), dim)  # int64 when empty
-    norm = np.sqrt(np.einsum("ij,ij->i", tf, tf))[:, None]
-    return np.divide(tf, norm, out=tf, where=norm > 0)
+def _unit_tf(token_lists: list[list[str]], terms: dict, width: int) -> np.ndarray:
+    """Per token list, each term's count in its column over the root of the
+    list's whole integer sum of squared counts; other columns are zero."""
+    rows = np.zeros((len(token_lists), width))
+    for row, counts in zip(rows, map(Counter, token_lists)):
+        norm = math.sqrt(sum(n * n for n in counts.values()))
+        if norm > 0:
+            row[:len(terms)] = [counts[t] / norm for t in terms]
+    return rows
 
 
 def reference_backend(query: str, aspects: tuple[str, ...],

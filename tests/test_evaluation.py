@@ -95,6 +95,18 @@ def test_ranking_metrics_map_counts_missing_relevant():
     assert m["map"] == pytest.approx(2 / 3)
 
 
+def test_ranking_metrics_count_a_repeated_document_once():
+    # only a document's first position is a hit, as in trec_eval
+    m = ranking_metrics(["a", "a", "b"], {"a"}, [1, 3])
+    assert m["map"] == 1.0
+    assert m["ndcg@1"] == 1.0 and m["ndcg@3"] == 1.0
+    m = ranking_metrics(["x", "r1", "r1", "r2"], {"r1", "r2"}, [4])
+    assert m["map"] == pytest.approx((1 / 2 + 2 / 4) / 2)
+    expected = (1 / math.log2(3) + 1 / math.log2(5)) / (1 + 1 / math.log2(3))
+    assert m["ndcg@4"] == pytest.approx(expected)
+    assert m["ndcg@4"] <= 1.0
+
+
 def test_ranking_metrics_no_relevant():
     m = ranking_metrics(["a", "b"], set(), [1, 3])
     assert m["map"] == 0.0 and m["ndcg@1"] == 0.0 and m["no_relevant"] == 1.0

@@ -528,6 +528,31 @@ def test_pipeline_parses_inputs_once(tmp_path, synthetic_paths, small_config,
     assert calls == {"load_dataset": 1, "load_corpus": 1, "build_index": 1}
 
 
+def test_rank_hands_each_pool_backend_to_pairs(tmp_path, synthetic_paths, small_config,
+                                               monkeypatch):
+    dataset, corpus = synthetic_paths
+    calls = _count_calls(monkeypatch, ("reference_backend",))
+    run_pipeline(small_config, dataset, corpus, str(tmp_path / "pipeline"))
+    assert calls == {"reference_backend": 20}  # one per pool
+    inputs = RunInputs(small_config, dataset, corpus)
+    staged = tmp_path / "staged"
+    for stage in STAGES[:STAGES.index("pairs")]:
+        run_stage(stage, small_config, dataset, corpus, str(staged), inputs=inputs)
+    assert len(inputs.backends) == 20
+    run_stage("pairs", small_config, dataset, corpus, str(staged), inputs=inputs)
+    assert inputs.backends == {}
+    assert calls == {"reference_backend": 40}
+    # pairs alone builds its own backends and writes the same bytes
+    alone = tmp_path / "alone"
+    shutil.copytree(staged, alone)
+    os.remove(alone / "pairs.jsonl")
+    run_stage("pairs", small_config, dataset, corpus, str(alone))
+    assert calls == {"reference_backend": 60}
+    expected = (tmp_path / "pipeline" / "pairs.jsonl").read_bytes()
+    assert (staged / "pairs.jsonl").read_bytes() == expected
+    assert (alone / "pairs.jsonl").read_bytes() == expected
+
+
 def test_stage_alone_reads_documents_without_building_index(tmp_path, synthetic_paths,
                                                             small_config, monkeypatch):
     dataset, corpus = synthetic_paths

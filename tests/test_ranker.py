@@ -362,10 +362,13 @@ def test_reference_backend_equals_loop_backend():
         pool = make_pool(texts, query=query, aspects=aspects)
         fast = reference_backend(query, pool.aspects, pool.candidates)
         loop = LoopReferenceBackend(query, pool.aspects, pool.candidates)
-        assert np.array_equal(fast.encodings, loop.encodings)
+        # the query and aspect columns, then zeros: the state is zero there
+        n_qa = len(set(tokenize(" ".join((query, *aspects)))))
+        assert np.array_equal(fast.encodings[:, :n_qa], loop.encodings[:, :n_qa])
+        assert not fast.encodings[:, n_qa:].any()
         assert len(fast.aspect_vectors) == len(loop.aspect_vectors)
         for got, want in zip(fast.aspect_vectors, loop.aspect_vectors):
-            assert np.array_equal(got, want)
+            assert np.array_equal(got, want[:len(got)]) and not want[len(got):].any()
         cfg = RankerConfig(k=rng.randint(1, len(texts)), tau=rng.choice([0.1, 0.5, 2.0]),
                            allow_repetition=rng.random() < 0.3, seed=rng.randint(0, 99))
         for mode in ("greedy", "sampled"):
@@ -375,6 +378,63 @@ def test_reference_backend_equals_loop_backend():
     assert np.array_equal(reference_backend("q", asp, []).encodings,
                           LoopReferenceBackend("q", asp, []).encodings)
     assert reference_backend("q", asp, []).encodings.shape == (0, 3)
+
+
+def _noisy_text(rng, tokens):
+    """The tokens in random order, some upper-cased or with punctuation."""
+    tokens = rng.sample(tokens, len(tokens))
+    marks = rng.choices(["", ".", "--", "upper"], k=len(tokens))
+    return " ".join(t.upper() if m == "upper" else t + m for t, m in zip(tokens, marks))
+
+
+def test_reference_backend_equals_dense_backend_on_wide_vocabularies():
+    """The kept columns give bit-identical scores to the dense product, at
+    every width: vocabularies past 128 terms, 0 to 200 query and aspect
+    terms, prefixes that repeat a docid, and whole greedy and sampled lists."""
+    rng = random.Random(20)
+    narrower = 0
+    for trial in range(48):
+        words = ["w%d" % i for i in range(rng.randint(5, 3000))]
+        n_qa = 0 if trial % 8 == 0 else rng.randint(1, min(200, len(words)))
+        qa = rng.sample(words, n_qa)
+        cuts = sorted(rng.randint(0, n_qa) for _ in range(rng.randint(1, 4)))
+        parts = [qa[a:b] for a, b in zip([0, *cuts], [*cuts, n_qa])]
+        # every part once, a few of its terms again; a part with no term is
+        # a text with no token
+        query, *aspects = [_noisy_text(rng, p + rng.choices(p, k=rng.randint(0, 3)))
+                           if p else "?!" for p in parts]
+        aspects = tuple(aspects)
+        texts = [_noisy_text(rng, rng.choices(words if rng.random() < 0.7 else qa or words,
+                                              k=rng.randint(0, 60)))
+                 for _ in range(rng.randint(1, 30))]
+        pool = make_pool(texts, query=query, aspects=aspects)
+        fast = reference_backend(query, pool.aspects, pool.candidates)
+        loop = LoopReferenceBackend(query, pool.aspects, pool.candidates)
+        assert len(set(tokenize(" ".join((query, *aspects))))) == n_qa
+        narrower += fast.encodings.shape[1] < loop.encodings.shape[1]
+        m = len(texts)
+        prefixes = [[]] + [rng.choices(range(m), k=rng.randint(1, 6)) for _ in range(4)]
+        prefixes.append([prefixes[-1][0]] * 3)
+        for prefix in prefixes:
+            assert np.array_equal(fast.step_scores(prefix), loop.step_scores(prefix))
+        cfg = RankerConfig(k=rng.randint(1, min(m, 6)), tau=rng.choice([0.1, 0.5, 2.0]),
+                           allow_repetition=rng.random() < 0.3, seed=rng.randint(0, 99))
+        for mode in ("greedy", "sampled"):
+            got, want = rank(pool, cfg, fast, mode), rank(pool, cfg, loop, mode)
+            assert (got.docids, got.step_logprobs) == (want.docids, want.step_logprobs)
+    assert narrower >= 12
+
+
+def test_reference_backend_remembers_steps_read_only():
+    texts = ["red apples", "green pears", "red pears"]
+    pool = make_pool(texts, query="fruit", aspects=("red apples", "green pears"))
+    backend = reference_backend(pool.query, pool.aspects, pool.candidates)
+    first = backend.step_scores([1, 1])
+    assert backend.step_scores((1, 1)) is first
+    assert np.array_equal(first, LoopReferenceBackend(
+        pool.query, pool.aspects, pool.candidates).step_scores([1, 1]))
+    with pytest.raises(ValueError, match="read-only"):
+        first[0] = 1.0
 
 
 def test_reference_backend_rejects_empty_aspects():
