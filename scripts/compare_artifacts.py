@@ -18,11 +18,15 @@ values differ there (say `map`, `ndcg@1`); for any other file, the numbers
 of the differing lines. It also prints the lines of each Python module under each tree's
 src/, one module a line, and their total, so a refactor's two checks (the
 same artifacts from fewer lines) and its per-module counts read off one
-run.
+run. Next to each count it prints the module's code lines: the lines left
+once blank lines, comment-only lines and docstrings are taken out, so a
+count cannot move just because comments moved.
 """
 
 from __future__ import annotations
 
+import ast
+import io
 import itertools
 import json
 import os
@@ -30,6 +34,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tokenize
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -145,8 +150,33 @@ def compare(dir_a: str, dir_b: str) -> tuple[int, list[str]]:
     return len(files_a | files_b), differ
 
 
-def src_lines(tree: str) -> dict[str, int]:
-    """Lines in each .py file under the tree's src/, by path below src/."""
+# tokens that hold no code: a line with only these is blank or a comment
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+             tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def code_lines(source: bytes) -> int:
+    """Lines of `source` holding a token that is neither a comment nor a
+    docstring (the string a module, class or function body opens with)."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                docstrings.add((first.lineno, first.col_offset))
+    lines = set()
+    for tok in tokenize.tokenize(io.BytesIO(source).readline):
+        if tok.type not in _NOT_CODE and not (tok.type == tokenize.STRING
+                                              and tok.start in docstrings):
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines)
+
+
+def src_lines(tree: str) -> dict[str, tuple[int, int]]:
+    """Lines and code lines in each .py file under the tree's src/, by path
+    below src/."""
     src = os.path.join(tree, "src")
     lines = {}
     for top, _, names in os.walk(src):
@@ -154,7 +184,9 @@ def src_lines(tree: str) -> dict[str, int]:
             if name.endswith(".py"):
                 path = os.path.join(top, name)
                 with open(path, "rb") as fh:
-                    lines[os.path.relpath(path, src)] = sum(1 for _ in fh)
+                    source = fh.read()
+                lines[os.path.relpath(path, src)] = (len(source.splitlines()),
+                                                     code_lines(source))
     return lines
 
 
@@ -176,8 +208,12 @@ def main(argv: list[str]) -> int:
     print(f"{total - len(differ)} of {total} files byte-identical")
     parent, change = src_lines(argv[0]), src_lines(argv[1])
     for module in sorted(parent.keys() | change.keys()):
-        print(f"src/{module}: {parent.get(module, 0)} → {change.get(module, 0)}")
-    print(f"src/ lines: {sum(parent.values())} → {sum(change.values())}")
+        (lines_a, code_a), (lines_b, code_b) = (side.get(module, (0, 0))
+                                                for side in (parent, change))
+        print(f"src/{module}: {lines_a} → {lines_b} lines, {code_a} → {code_b} code")
+    for i, what in enumerate(("lines", "code lines")):
+        print(f"src/ {what}: {sum(v[i] for v in parent.values())} → "
+              f"{sum(v[i] for v in change.values())}")
     return 1 if differ else 0
 
 

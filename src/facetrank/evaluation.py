@@ -1,17 +1,17 @@
 """Response metrics, ranking metrics, list comprehensiveness, and RRF.
 
 Response metrics compare a generated answer against the gold answer and
-sub-answers; ranking metrics use binary relevance labels derived from a
-coverage threshold against a reference text (the pipeline labels a
-document relevant when it covers some sub-answer).
+sub-answers; ranking metrics use binary relevance labels: a document is
+relevant when it covers some sub-answer past a threshold. Relevance and
+comprehensiveness read the sub-answers, and their phi, from one `PhiStore`.
 """
 
 from __future__ import annotations
 
 import math
 
-from .pool import CandidatePool
-from .silver import weights_from_rows
+from .corpus import Document
+from .silver import Coverage
 from .text_metrics import (PhiStore, length_weighted, profile, rouge2_f1, rougel_f1,
                            unigram_f1)
 
@@ -33,20 +33,14 @@ def evaluate_response(response: str, answer: str, sub_answers: list[str]) -> dic
     }
 
 
-def label_relevance(pool: CandidatePool, answer: str, threshold: float = 0.5,
-                    store: PhiStore | None = None) -> set[str]:
-    """Doc ids whose coverage of `answer`, one reference text, strictly
-    exceeds threshold.
-
-    The coverage is read from `store` when given (the answer must be one of
-    its references).
-    """
+def label_relevance(docs: list[Document], store: PhiStore,
+                    threshold: float = 0.5) -> set[str]:
+    """Doc ids whose coverage of some reference of `store`, some sub-answer,
+    strictly exceeds threshold."""
     if not 0 <= threshold <= 1:
         raise ValueError("threshold must lie in [0, 1]")
-    store = store or PhiStore([answer])
-    coverage = store.rows([c.doc.text for c in pool.candidates], [answer])
-    return {c.doc.doc_id for c, (cov,) in zip(pool.candidates, coverage)
-            if cov > threshold}
+    rows = store.rows([d.text for d in docs])
+    return {d.doc_id for d, row in zip(docs, rows) if any(c > threshold for c in row)}
 
 
 def ranking_metrics(ranked_docids: list[str], relevant: set[str],
@@ -80,33 +74,30 @@ def ranking_metrics(ranked_docids: list[str], relevant: set[str],
     return out
 
 
-def com_score(doc_texts: list[str], sub_answers: list[str],
-              store: PhiStore | None = None) -> float:
-    """Cumulative weighted coverage of an ordered list of documents; the
-    coverage is read from `store` when given."""
-    store = store or PhiStore(sub_answers)
-    cov = store.rows(doc_texts, sub_answers)
+def com_score(doc_texts: list[str], store: PhiStore) -> float:
+    """Cumulative weighted coverage of an ordered list of documents against
+    the store's references, the sub-answers."""
+    state = Coverage([0.0] * len(store.references))
     total = 0.0
-    for t, row in enumerate(cov):
-        w = weights_from_rows(cov[:t], len(sub_answers))
-        total += sum(wi * c for wi, c in zip(w, row))
+    for row in store.rows(doc_texts):
+        total += state.gain(row)
+        state = state.plus(row)
     return total
 
 
 def ncom(ranked_doc_texts: list[str], silver_doc_texts: list[str],
-         sub_answers: list[str], store: PhiStore | None = None) -> float:
+         store: PhiStore) -> float:
     """Comprehensiveness of a list, normalized by the silver list's.
 
     Both lists must have the same length (the silver k). A zero silver
-    score defines NCOM as 0. Both lists read one store, `store` when given.
+    score defines NCOM as 0.
     """
     if len(ranked_doc_texts) != len(silver_doc_texts):
         raise ValueError("list length does not match silver k")
-    store = store or PhiStore(sub_answers)
-    denom = com_score(silver_doc_texts, sub_answers, store)
+    denom = com_score(silver_doc_texts, store)
     if denom == 0:
         return 0.0
-    return com_score(ranked_doc_texts, sub_answers, store) / denom
+    return com_score(ranked_doc_texts, store) / denom
 
 
 def rrf_fuse(per_aspect_lists: list[list[str]], k_rrf: float = 60.0,

@@ -22,8 +22,7 @@ from functools import cached_property
 from . import evaluation, preferences, silver
 from .aspects import HttpLlmClient, RemoteError, SubAspectList, predict_aspects
 from .corpus import Document, InvertedIndex, build_index, load_corpus, read_jsonl, retrieve
-from .pool import (Candidate, CandidatePool, merge_pool, pool_from_dict, pool_to_dict,
-                   retrieve_per_aspect)
+from .pool import CandidatePool, merge_pool, pool_from_dict, pool_to_dict, retrieve_per_aspect
 from .ranker import RankerConfig, RemoteBackend, rank, reference_backend
 from .text_metrics import PhiStore, tokenize
 
@@ -355,8 +354,7 @@ def _stage_silver(config, inputs, out_dir):
     pools = _load_pools(out_dir, inputs)
 
     def job(_position, rec):
-        target = silver.build_silver_list(pools[rec.id], list(rec.sub_answers),
-                                          config.k, inputs.coverage(rec))
+        target = silver.build_silver_list(pools[rec.id], inputs.coverage(rec), config.k)
         return [{"query_id": rec.id, "docids": target.docids,
                  "step_utilities": target.step_utilities}]
     return _write_stage("silver", inputs, out_dir, *_per_query(inputs, job))
@@ -453,15 +451,11 @@ def _stage_eval(config, inputs, out_dir):
                 [[d for d, _ in lst] for lst in retrieved[rec.id]["lists"]],
                 k_rrf=config.k_rrf, top=config.k),
         }
-        # a document is relevant when it covers some sub-answer; the pool and
-        # every scored list are labelled
-        ids = dict.fromkeys([c.doc.doc_id for c in pool.candidates]
-                            + [d for doc_ids in systems.values() for d in doc_ids])
-        labelled = CandidatePool(pool.query, pool.aspects,
-                                 [Candidate(inputs.documents[d], {}) for d in ids])
-        relevant = set().union(*(
-            evaluation.label_relevance(labelled, a, config.relevance_threshold, store)
-            for a in rec.sub_answers))
+        # the pool and every scored list are labelled
+        relevant = evaluation.label_relevance(
+            [c.doc for c in pool.candidates]
+            + [inputs.documents[d] for doc_ids in systems.values() for d in doc_ids],
+            store, config.relevance_threshold)
         scored = {}
         for name, doc_ids in systems.items():
             texts = [inputs.documents[d].text for d in doc_ids]
@@ -472,8 +466,7 @@ def _stage_eval(config, inputs, out_dir):
             ranking = evaluation.ranking_metrics(doc_ids, relevant, cutoffs)
             metrics.update(ranking if relevant else {"no_relevant": ranking["no_relevant"]})
             if len(texts) == len(silver_texts):
-                metrics["ncom"] = evaluation.ncom(texts, silver_texts,
-                                                  list(rec.sub_answers), store)
+                metrics["ncom"] = evaluation.ncom(texts, silver_texts, store)
             scored[name] = metrics
         return [(rec.id, scored)]  # only once all three systems are scored
     rows, failures = _per_query(inputs, job)

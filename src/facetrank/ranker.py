@@ -24,7 +24,7 @@ import numpy as np
 
 from .aspects import post_json
 from .pool import Candidate, CandidatePool
-from .silver import weights_from_rows
+from .silver import Coverage
 from .text_metrics import Profile, phi_profiles, tokenize
 
 
@@ -140,12 +140,12 @@ class ReferenceBackend:
     SIMD accumulators by column position: on an AVX-512 Xeon (OpenBLAS
     0.3.31) a cut at the exact count moved the last bits of 1 norm in 4,
     rounding up to 16 still some, to 32, 64 or 128 none; 128 leaves margin.
-    Each prefix's scores are kept, read-only.
+    Each prefix's scores are kept, read-only, and so is its coverage state,
+    made from its parent prefix's state and the phi row of its last docid.
     """
 
     def __init__(self, query: str, aspects: tuple[str, ...], candidates: list[Candidate]):
-        if not aspects:
-            raise ValueError("aspects must be non-empty")
+        self._states = {(): Coverage([0.0] * len(aspects))}  # prefix -> state
         query_tokens = tokenize(query)
         aspect_tokens = [tokenize(a) for a in aspects]
         self._texts = [c.doc.text for c in candidates]  # held, not their tokens
@@ -165,12 +165,8 @@ class ReferenceBackend:
         key = tuple(selected)
         if key in self._scores:
             return self._scores[key]
-        for i in set(key) - self._coverage.keys():
-            doc = Profile(tokenize(self._texts[i]))
-            self._coverage[i] = [phi_profiles(doc, a) for a in self._aspect_profiles]
-        w = weights_from_rows([self._coverage[i] for i in key], len(self._aspect_profiles))
         h = np.zeros(self.encodings.shape[1])
-        for wj, vj in zip(w, self.aspect_vectors):
+        for wj, vj in zip(self._state(key).weights, self.aspect_vectors):
             h += wj * vj
         norm = np.linalg.norm(h)
         if norm > 0:
@@ -178,6 +174,18 @@ class ReferenceBackend:
         scores = self._scores[key] = self.encodings @ h
         scores.flags.writeable = False
         return scores
+
+    def _state(self, key: tuple[int, ...]) -> Coverage:
+        """The coverage state after the prefix `key`, made from its parent
+        prefix's state (and so on up to the first one kept) and kept."""
+        state = self._states.get(key)
+        if state is None:
+            i = key[-1]
+            if i not in self._coverage:
+                doc = Profile(tokenize(self._texts[i]))
+                self._coverage[i] = [phi_profiles(doc, a) for a in self._aspect_profiles]
+            state = self._states[key] = self._state(key[:-1]).plus(self._coverage[i])
+        return state
 
 
 def _unit_tf(token_lists: list[list[str]], terms: dict, width: int) -> np.ndarray:

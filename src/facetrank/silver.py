@@ -8,6 +8,7 @@ on the best-covered one.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .pool import CandidatePool
@@ -20,26 +21,35 @@ class SilverTarget:
     step_utilities: list[float]
 
 
-def weights_from_rows(rows: list[list[float]], n: int) -> list[float]:
-    """Per-aspect weights 1 - Norm(best coverage) over rows of phi.
+class Coverage:
+    """The coverage state of a list: best[j] is the best phi of sub-answer j
+    by a document so far (0.0 before any; phi is never negative, so this is
+    the max over the list), and the weights are 1 - Norm(best), all 1 while
+    nothing is covered, so the first step is pure unweighted coverage."""
 
-    rows[t][j] is the coverage of sub-answer j by the t-th selected doc.
-    With no rows (or nothing covered) the coverage vector is all zeros; its
-    sum-normalization is defined as all zeros, so every weight is 1 and
-    the first step is pure unweighted coverage.
-    """
-    if n < 1:
-        raise ValueError("sub_answers must be non-empty")
-    cov = [max((row[j] for row in rows), default=0.0) for j in range(n)]
-    total = sum(cov)
-    if total == 0:
-        return [1.0] * n
-    return [1.0 - c / total for c in cov]
+    __slots__ = ("best", "weights")
+
+    def __init__(self, best):
+        self.best = tuple(best)
+        if not self.best:
+            raise ValueError("aspects must be non-empty")
+        total = sum(self.best)
+        self.weights = ([1.0] * len(self.best) if total == 0
+                        else [1.0 - c / total for c in self.best])
+
+    def plus(self, row) -> Coverage:
+        """The state once a document with phi row `row` is selected too."""
+        return Coverage(map(max, self.best, row))
+
+    def gain(self, row) -> float:
+        """The weighted coverage utility of a document with phi row `row`."""
+        return sum(wi * c for wi, c in zip(self.weights, row))
 
 
 def aspect_weights(selected_docs: list[str], sub_answers: list[str]) -> list[float]:
     """Per-aspect weights 1 - Norm(best coverage by selected docs)."""
-    return weights_from_rows(PhiStore(sub_answers).rows(selected_docs), len(sub_answers))
+    return functools.reduce(Coverage.plus, PhiStore(sub_answers).rows(selected_docs),
+                            Coverage([0.0] * len(sub_answers))).weights
 
 
 def coverage_gain(doc_text: str, w: list[float], sub_answers: list[str]) -> float:
@@ -49,31 +59,24 @@ def coverage_gain(doc_text: str, w: list[float], sub_answers: list[str]) -> floa
     return sum(wi * c for wi, c in zip(w, PhiStore(sub_answers).rows([doc_text])[0]))
 
 
-def build_silver_list(pool: CandidatePool, sub_answers: list[str], k: int,
-                      store: PhiStore | None = None) -> SilverTarget:
-    """Greedy argmax of the coverage utility, ties by lowest pool position.
+def build_silver_list(pool: CandidatePool, store: PhiStore, k: int) -> SilverTarget:
+    """Greedy argmax of the coverage utility against the store's references,
+    the sub-answers, ties by lowest pool position.
 
-    The coverage of every sub-answer by every pool document is read once,
-    from `store` when given (it must hold the sub-answers among its
-    references); each step reads it for the weights and for the gains.
+    The coverage of every sub-answer by every pool document is read once.
     """
-    if not sub_answers:
-        raise ValueError("sub_answers must be non-empty")
+    state = Coverage([0.0] * len(store.references))
     if k > len(pool.candidates):
         raise ValueError("k exceeds pool size")
-    store = store or PhiStore(sub_answers)
-    cov = store.rows([c.doc.text for c in pool.candidates], sub_answers)
+    cov = store.rows([c.doc.text for c in pool.candidates])
     docids: list[int] = []
     utilities: list[float] = []
     remaining = list(range(len(cov)))
     for _ in range(k):
-        w = weights_from_rows([cov[i] for i in docids], len(sub_answers))
-        best, best_gain = None, -1.0
-        for i in remaining:
-            gain = sum(wi * c for wi, c in zip(w, cov[i]))
-            if gain > best_gain:
-                best, best_gain = i, gain
+        gains = [state.gain(cov[i]) for i in remaining]
+        best_gain = max(gains)
+        best = remaining.pop(gains.index(best_gain))
         docids.append(best)
         utilities.append(best_gain)
-        remaining.remove(best)
+        state = state.plus(cov[best])
     return SilverTarget(docids, utilities)

@@ -32,3 +32,20 @@ class UniformBackend:
 
     def step_scores(self, selected):
         return np.zeros(self.pool_size)
+
+
+def weights_from_rows(rows, n):
+    """Per-aspect weights 1 - Norm(best coverage) over rows of phi, rebuilt
+    from every row: the oracle of `silver.Coverage`.
+
+    rows[t][j] is the coverage of sub-answer j by the t-th selected doc.
+    With no rows (or nothing covered) the coverage vector is all zeros; its
+    sum-normalization is defined as all zeros, so every weight is 1.
+    """
+    if n < 1:
+        raise ValueError("sub_answers must be non-empty")
+    cov = [max((row[j] for row in rows), default=0.0) for j in range(n)]
+    total = sum(cov)
+    if total == 0:
+        return [1.0] * n
+    return [1.0 - c / total for c in cov]

@@ -21,7 +21,7 @@ from facetrank.pool import CandidatePool
 from facetrank.preferences import RewardedList, build_us3_pairs, dpo_loss_value
 from facetrank.ranker import RankerConfig, RankingList, rank, sequence_log_prob
 from facetrank.silver import aspect_weights, build_silver_list
-from facetrank.text_metrics import phi, rouge, tokenize, unigram_f1
+from facetrank.text_metrics import PhiStore, phi, rouge, tokenize, unigram_f1
 
 from conftest import make_pool
 
@@ -121,7 +121,7 @@ def test_acceptance_greedy_certificate():
                      for _ in range(n_docs)]
             subs = [" ".join(rng.choices(vocab, k=rng.randint(1, 5)))
                     for _ in range(n_sub)]
-            target = build_silver_list(make_pool(texts), subs, k)
+            target = build_silver_list(make_pool(texts), PhiStore(subs), k)
             chosen: list[int] = []
             for step, picked in enumerate(target.docids):
                 # recompute every utility from scratch, independent of the
@@ -268,11 +268,11 @@ def test_acceptance_ncom_self_normalization():
             texts = [subs[0]] + [" ".join(rng.choices(vocab, k=4))
                                  for _ in range(rng.randint(1, 5))]
             k = rng.randint(1, len(texts))
-            target = build_silver_list(make_pool(texts), subs, k)
+            target = build_silver_list(make_pool(texts), PhiStore(subs), k)
             silver_texts = [texts[i] for i in target.docids]
-            assert ncom(silver_texts, silver_texts, subs) == 1.0
+            assert ncom(silver_texts, silver_texts, PhiStore(subs)) == 1.0
             disjoint = ["zzz qqq xxx"] * k
-            assert ncom(disjoint, silver_texts, subs) == 0.0
+            assert ncom(disjoint, silver_texts, PhiStore(subs)) == 0.0
 
     _check("acceptance 6 (list-coverage metric self-normalization)", body)
 

@@ -48,7 +48,7 @@ def test_evaluate_response_matches_bruteforce():
 def test_label_relevance_rules():
     answer = "solar energy is renewable"
     pool = make_pool([answer, "totally unrelated words"])
-    relevant = label_relevance(pool, answer)
+    relevant = label_relevance([c.doc for c in pool.candidates], PhiStore([answer]))
     assert relevant == {"d0"}
 
 
@@ -57,7 +57,8 @@ def test_label_relevance_strict_threshold():
     # and "higher than" is strict, so the doc is NOT relevant
     one_token = make_pool(["greetings"])
     assert phi("greetings", "greetings") == pytest.approx(0.5)
-    assert label_relevance(one_token, "greetings") == set()
+    assert label_relevance([c.doc for c in one_token.candidates],
+                           PhiStore(["greetings"])) == set()
 
 
 def test_label_relevance_equals_per_document_phi_on_random_pools():
@@ -66,13 +67,16 @@ def test_label_relevance_equals_per_document_phi_on_random_pools():
     for _ in range(40):
         texts = [" ".join(rng.choices(vocab, k=rng.randint(0, 12)))
                  for _ in range(rng.randint(1, 10))]
-        answer = " ".join(rng.choices(vocab, k=rng.randint(1, 12)))
-        pool = make_pool(texts)
-        phis = [phi(t, answer) for t in texts]
+        subs = [" ".join(rng.choices(vocab, k=rng.randint(1, 12)))
+                for _ in range(rng.randint(1, 4))]
+        docs = [c.doc for c in make_pool(texts).candidates]
+        phis = {(d, a): phi(d.text, a) for d in docs for a in subs}
         # thresholds equal to a document's phi probe the strict rule
-        for threshold in (0.0, 0.5, 1.0, rng.random(), rng.choice(phis)):
-            expected = {f"d{i}" for i, p in enumerate(phis) if p > threshold}
-            assert label_relevance(pool, answer, threshold) == expected
+        for threshold in (0.0, 0.5, 1.0, rng.random(), rng.choice(list(phis.values()))):
+            # the union, over the sub-answers, of the documents covering it
+            expected = set().union(*({d.doc_id for d in docs if phis[d, a] > threshold}
+                                     for a in subs))
+            assert label_relevance(docs, PhiStore(subs), threshold) == expected
 
 
 def test_ranking_metrics_perfect():
@@ -121,26 +125,26 @@ def test_ncom_self_normalization():
     subs = ["alpha beta gamma", "delta eps zeta"]
     pool = make_pool(["alpha beta gamma", "delta eps zeta", "alpha delta",
                       "beta eps", "unrelated stuff"])
-    silver = build_silver_list(pool, subs, 3)
+    silver = build_silver_list(pool, PhiStore(subs), 3)
     silver_texts = [pool.candidates[i].doc.text for i in silver.docids]
-    assert ncom(silver_texts, silver_texts, subs) == 1.0
+    assert ncom(silver_texts, silver_texts, PhiStore(subs)) == 1.0
 
 
 def test_ncom_disjoint_list_is_zero():
     subs = ["alpha beta", "gamma delta"]
     pool = make_pool(["alpha beta", "gamma delta", "xx yy", "zz ww"])
-    silver = build_silver_list(pool, subs, 2)
+    silver = build_silver_list(pool, PhiStore(subs), 2)
     silver_texts = [pool.candidates[i].doc.text for i in silver.docids]
-    assert ncom(["xx yy", "zz ww"], silver_texts, subs) == 0.0
+    assert ncom(["xx yy", "zz ww"], silver_texts, PhiStore(subs)) == 0.0
 
 
 def test_ncom_zero_silver_defined_as_zero():
-    assert ncom(["xx"], ["yy"], ["aa bb"]) == 0.0
+    assert ncom(["xx"], ["yy"], PhiStore(["aa bb"])) == 0.0
 
 
 def test_ncom_length_mismatch():
     with pytest.raises(ValueError, match="length"):
-        ncom(["a"], ["b", "c"], ["x"])
+        ncom(["a"], ["b", "c"], PhiStore(["x"]))
 
 
 def oracle_com(lst, subs):
@@ -159,9 +163,9 @@ def test_ncom_matches_independent_recomputation():
     subs = ["alpha beta gamma", "delta eps"]
     texts = ["alpha beta delta", "gamma eps zeta", "alpha delta eps"]
     silver_texts = [texts[2], texts[1], texts[0]]
-    got = ncom(texts, silver_texts, subs)
+    got = ncom(texts, silver_texts, PhiStore(subs))
     assert got == oracle_com(texts, subs) / oracle_com(silver_texts, subs)
-    assert com_score(texts, subs) == oracle_com(texts, subs)
+    assert com_score(texts, PhiStore(subs)) == oracle_com(texts, subs)
 
 
 def test_com_score_equals_oracle_on_random_lists():
@@ -172,7 +176,7 @@ def test_com_score_equals_oracle_on_random_lists():
                  for _ in range(rng.randint(0, 12))]
         subs = [" ".join(rng.choices(vocab, k=rng.randint(0, 10)))
                 for _ in range(rng.randint(1, 4))]
-        assert com_score(texts, subs) == oracle_com(texts, subs)
+        assert com_score(texts, PhiStore(subs)) == oracle_com(texts, subs)
 
 
 def test_shared_store_equals_throwaway_stores():
@@ -184,17 +188,17 @@ def test_shared_store_equals_throwaway_stores():
         texts += rng.choices(texts, k=2)  # the same text at two pool positions
         subs = [" ".join(rng.choices(vocab, k=rng.randint(1, 8)))
                 for _ in range(rng.randint(1, 4))]
-        answer = " ".join(subs)
         pool, k = make_pool(texts), rng.randint(1, 3)
-        store = PhiStore(subs + [answer])
-        silver = build_silver_list(pool, subs, k, store)
-        assert silver == build_silver_list(pool, subs, k)
+        store = PhiStore(subs)
+        silver = build_silver_list(pool, store, k)
+        assert silver == build_silver_list(pool, PhiStore(subs), k)
         threshold = rng.random() / 2
-        assert label_relevance(pool, answer, threshold, store) == \
-            label_relevance(pool, answer, threshold)
+        docs = [c.doc for c in pool.candidates]
+        assert label_relevance(docs, store, threshold) == \
+            label_relevance(docs, PhiStore(subs), threshold)
         silver_texts = [texts[i] for i in silver.docids]
         other = rng.sample(texts + ["w1 w2 w3 w9"], k)
-        assert ncom(other, silver_texts, subs, store) == ncom(other, silver_texts, subs)
+        assert ncom(other, silver_texts, store) == ncom(other, silver_texts, PhiStore(subs))
 
 
 def test_rrf_hand_values():

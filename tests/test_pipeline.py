@@ -495,10 +495,10 @@ def test_pipeline_scores_each_text_once_per_record(tmp_path, synthetic_paths,
     active = []
     rows, profile = text_metrics.PhiStore.rows, text_metrics.profile
 
-    def store_rows(self, texts, references=None):
+    def store_rows(self, texts):
         active.append(self)
         try:
-            return rows(self, texts, references)
+            return rows(self, texts)
         finally:
             active.pop()
 

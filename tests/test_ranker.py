@@ -4,13 +4,12 @@ import random
 import numpy as np
 import pytest
 
-from conftest import UniformBackend, make_pool
+from conftest import UniformBackend, make_pool, weights_from_rows
 from facetrank.corpus import Document
 from facetrank.pool import Candidate
 from facetrank.ranker import (RankerConfig, _draw, masked_softmax, rank, reference_backend,
                               sequence_log_prob)
-from facetrank.silver import weights_from_rows
-from facetrank.text_metrics import phi, tokenize
+from facetrank.text_metrics import phi, phi_profiles, tokenize
 
 
 class StubBackend:
@@ -423,6 +422,34 @@ def test_reference_backend_equals_dense_backend_on_wide_vocabularies():
             got, want = rank(pool, cfg, fast, mode), rank(pool, cfg, loop, mode)
             assert (got.docids, got.step_logprobs) == (want.docids, want.step_logprobs)
     assert narrower >= 12
+
+
+def test_reference_backend_states_from_any_prefix_order(monkeypatch):
+    """A long prefix asked for before any of its parents, then the parents,
+    scores as the loop backend does, and each pool position's phi row is
+    evaluated once."""
+    from facetrank import ranker
+    calls = []
+
+    def counted(doc, ref):
+        calls.append(ref)
+        return phi_profiles(doc, ref)
+    monkeypatch.setattr(ranker, "phi_profiles", counted)
+    rng = random.Random(11)
+    words = ["w%d" % i for i in range(8)]
+    for _ in range(30):
+        texts = [" ".join(rng.choices(words, k=rng.randint(0, 20)))
+                 for _ in range(rng.randint(1, 10))]
+        aspects = tuple(" ".join(rng.choices(words, k=rng.randint(1, 3)))
+                        for _ in range(rng.randint(1, 4)))
+        pool = make_pool(texts, query="q", aspects=aspects)
+        fast = reference_backend("q", pool.aspects, pool.candidates)
+        loop = LoopReferenceBackend("q", pool.aspects, pool.candidates)
+        long = rng.choices(range(len(texts)), k=rng.randint(1, 8))
+        calls.clear()
+        for prefix in [long] + [long[:t] for t in range(len(long) - 1, -1, -1)]:
+            assert np.array_equal(fast.step_scores(prefix), loop.step_scores(prefix))
+        assert len(calls) == len(set(long)) * len(aspects)
 
 
 def test_reference_backend_remembers_steps_read_only():

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from conftest import make_pool
-from facetrank.silver import aspect_weights, build_silver_list, coverage_gain
-from facetrank.text_metrics import phi
+from conftest import make_pool, weights_from_rows
+from facetrank.silver import Coverage, aspect_weights, build_silver_list, coverage_gain
+from facetrank.text_metrics import PhiStore, phi
 
 
 def test_aspect_weights_no_selection():
@@ -37,6 +37,28 @@ def test_aspect_weights_empty_sub_answers():
         aspect_weights([], [])
 
 
+def test_coverage_fold_equals_rebuild():
+    """One plus per row gives the weights rebuilt from every row so far, and
+    gain is the inline weighted sum, on rows with zeros, ties and repeats."""
+    rng = random.Random(21)
+    values = [0.0, 0.0, 0.25, 0.5, 1 / 3, 1.0]
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        state, rows = Coverage([0.0] * n), []
+        for _ in range(rng.randint(1, 8)):
+            if rows and rng.random() < 0.3:
+                row = list(rng.choice(rows))
+            else:
+                row = [rng.choice(values + [rng.random()]) for _ in range(n)]
+            gain = sum(wi * c for wi, c in zip(weights_from_rows(rows, n), row))
+            assert state.gain(row) == gain
+            rows.append(row)
+            state = state.plus(row)
+            assert state.weights == weights_from_rows(rows, n)
+    with pytest.raises(ValueError, match="aspects must be non-empty"):
+        Coverage([])
+
+
 def test_coverage_gain_arithmetic():
     subs = ["x1 x2 x3", "y1 y2 y3"]
     doc = "x1 x2 z"
@@ -65,7 +87,7 @@ def prefix_weights(pool, target, t, subs):
 def test_build_silver_pool_of_one():
     subs = ["alpha beta", "gamma delta"]
     pool = make_pool(["alpha beta something"])
-    target = build_silver_list(pool, subs, 1)
+    target = build_silver_list(pool, PhiStore(subs), 1)
     assert target.docids == [0]
     expected = sum(phi(pool.candidates[0].doc.text, a) for a in subs)
     assert target.step_utilities[0] == pytest.approx(expected)
@@ -81,7 +103,7 @@ def test_build_silver_diversifies_across_aspects():
     pool = make_pool([a1, a2, "alpha beta delta eps"])
     both = pool.candidates[2].doc.text
     assert phi(both, a1) + phi(both, a2) < 1.0 + phi(a1, a2) + 1e-9
-    target = build_silver_list(pool, [a1, a2], 2)
+    target = build_silver_list(pool, PhiStore([a1, a2]), 2)
     assert target.docids == [0, 1]
     assert prefix_weights(pool, target, 1, [a1, a2]) == [0.0, 1.0]
     assert target.step_utilities == pytest.approx([1.0, 1.0])
@@ -89,7 +111,7 @@ def test_build_silver_diversifies_across_aspects():
 
 def test_build_silver_all_disjoint_falls_back_to_pool_order():
     pool = make_pool(["qq ww", "ee rr", "tt yy"])
-    target = build_silver_list(pool, ["zz xx"], 3)
+    target = build_silver_list(pool, PhiStore(["zz xx"]), 3)
     assert target.docids == [0, 1, 2]
     assert target.step_utilities == [0.0, 0.0, 0.0]
 
@@ -97,7 +119,7 @@ def test_build_silver_all_disjoint_falls_back_to_pool_order():
 def test_build_silver_k_exceeds_pool():
     pool = make_pool(["a b"])
     with pytest.raises(ValueError, match="exceeds pool"):
-        build_silver_list(pool, ["a"], 2)
+        build_silver_list(pool, PhiStore(["a"]), 2)
 
 
 def random_instance(rng):
@@ -130,7 +152,7 @@ def test_greedy_certificate_random_instances():
     for _ in range(60):
         texts, subs, k = random_instance(rng)
         pool = make_pool(texts)
-        target = build_silver_list(pool, subs, k)
+        target = build_silver_list(pool, PhiStore(subs), k)
         chosen = []
         for t in range(k):
             best, gain, w = oracle_step(texts, subs, chosen)
@@ -170,5 +192,5 @@ def test_build_silver_equals_reference_greedy():
         subs = [" ".join(rng.choices(vocab, k=rng.randint(0, 12)))
                 for _ in range(rng.randint(1, 5))]
         k = rng.randint(1, n_docs)
-        target = build_silver_list(make_pool(texts), subs, k)
+        target = build_silver_list(make_pool(texts), PhiStore(subs), k)
         assert (target.docids, target.step_utilities) == reference_greedy(texts, subs, k)
