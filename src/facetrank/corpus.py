@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -64,10 +63,10 @@ def read_jsonl(path: str):
             yield lineno, obj
 
 
-def load_corpus(path: str) -> list[Document]:
-    """Read newline-delimited JSON documents, each doc_id on one line only."""
-    docs = []
-    first_line: dict[str, int] = {}
+def load_corpus(path: str) -> dict[str, Document]:
+    """Read newline-delimited JSON documents into a map by doc_id, in file
+    order; a doc_id may appear on one line only."""
+    docs: dict[str, Document] = {}
     for lineno, obj in read_jsonl(path):
         try:
             doc = Document(obj["doc_id"], obj.get("title", ""), obj["text"])
@@ -76,39 +75,43 @@ def load_corpus(path: str) -> list[Document]:
         if not (type(doc.doc_id) is str and type(doc.title) is str and type(doc.text) is str):
             name = next(n for n in Document.__slots__ if type(getattr(doc, n)) is not str)
             raise ValueError(f"{path}: document at line {lineno}: {name} must be a string")
-        if first_line.setdefault(doc.doc_id, lineno) != lineno:
+        if docs.setdefault(doc.doc_id, doc) is not doc:
+            first = next(n for n, o in read_jsonl(path) if o["doc_id"] == doc.doc_id)
             raise ValueError(f"{path}: duplicate doc_id {doc.doc_id} at lines "
-                             f"{first_line[doc.doc_id]} and {lineno}")
-        docs.append(doc)
+                             f"{first} and {lineno}")
     return docs
 
 
 def build_index(documents, k1: float = 1.2, b: float = 0.75) -> InvertedIndex:
-    """Build an inverted index over tokenize(title + " " + text)."""
+    """Build an inverted index over tokenize(title + " " + text), reading
+    `documents` once."""
     terms = defaultdict(itertools.count().__next__)
     doc_ids: list[str] = []
-    seen: set[str] = set()
     lengths: list[int] = []
-    ids = array("q")  # term id of every token, document after document
-    for doc in documents:
-        if doc.doc_id in seen:
-            raise ValueError(f"duplicate doc_id {doc.doc_id}")
-        tokens = tokenize(doc.title + " " + doc.text)
-        if not tokens:
+
+    def tokens(doc: Document) -> list[str]:
+        toks = tokenize(doc.title + " " + doc.text)
+        if not toks:
             raise ValueError(f"document {doc.doc_id} tokenizes to empty")
-        seen.add(doc.doc_id)
         doc_ids.append(doc.doc_id)
-        lengths.append(len(tokens))
-        ids.extend(map(terms.__getitem__, tokens))
+        lengths.append(len(toks))
+        return toks
+
+    # one key per token, term-major: a run of equal keys is one (term,
+    # document) pair and the run's length its term frequency. The keys are
+    # made and sorted in place and each temporary is dropped once used, to
+    # keep the build's transient memory low.
+    keys = np.fromiter(map(terms.__getitem__,
+                           itertools.chain.from_iterable(map(tokens, documents))), np.int64)
     if not doc_ids:
         raise ValueError("empty corpus")
     n = len(doc_ids)
-    # one key per token, term-major: a run of equal keys is one (term,
-    # document) pair and the run's length its term frequency. The keys are
-    # sorted in place and each temporary is dropped once used, to keep the
-    # build's transient memory low.
-    keys = np.frombuffer(ids, dtype=np.int64) * n
-    del ids
+    # equal doc_ids sit next to each other in string order
+    order = sorted(range(n), key=doc_ids.__getitem__)
+    for i, j in itertools.pairwise(order):
+        if doc_ids[i] == doc_ids[j]:
+            raise ValueError(f"duplicate doc_id {doc_ids[i]}")
+    keys *= n
     keys += np.repeat(np.arange(n), lengths)
     keys.sort()
     starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
@@ -126,7 +129,7 @@ def build_index(documents, k1: float = 1.2, b: float = 0.75) -> InvertedIndex:
     # k1 * (1 - b + b * dl / avg), so scores stay bit-identical
     norm = k1 * ((1 - b) + b * dl / avg)
     rank = np.empty(n, dtype=np.intp)
-    rank[sorted(range(n), key=doc_ids.__getitem__)] = np.arange(n)
+    rank[order] = np.arange(n)
     return InvertedIndex(dict(terms), indptr, doc_pos, tf,
                          doc_ids, norm, rank, n, avg, k1=k1, b=b)
 

@@ -204,7 +204,7 @@ class RunInputs:
 
     @cached_property
     def documents(self) -> dict[str, Document]:
-        return {doc.doc_id: doc for doc in load_corpus(self.paths[1])}
+        return load_corpus(self.paths[1])
 
     @cached_property
     def index(self) -> InvertedIndex:

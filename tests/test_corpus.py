@@ -3,10 +3,12 @@ import math
 import re
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from facetrank.corpus import Document, build_index, load_corpus, retrieve
+from facetrank.pipeline import load_config, run_stage
 from facetrank.text_metrics import tokenize
 
 
@@ -20,10 +22,30 @@ def test_build_index_counts():
     assert set(index.terms) == {"a", "b", "c", "d", "e"}
 
 
-def test_build_index_duplicate_id():
-    bad = [Document("d1", "", "x"), Document("d1", "", "y")]
-    with pytest.raises(ValueError, match="duplicate doc_id d1"):
+@pytest.mark.parametrize("ids,repeated", [
+    (("d1", "d1"), "d1"),
+    (("d1", "d0", "d1"), "d1"),
+    (("d0", "d9", "d1", "d9"), "d9"),
+], ids=["adjacent", "apart", "sorts-last"])
+def test_build_index_duplicate_id(ids, repeated):
+    bad = [Document(d, "", "x") for d in ids]
+    with pytest.raises(ValueError, match=f"^duplicate doc_id {repeated}$"):
         build_index(bad)
+
+
+def test_empty_document_is_reported_before_a_repeated_id(tmp_path, synthetic_paths):
+    """build_index reads every document before it sorts their ids, so an
+    empty document is its error; a pipeline run parses the corpus with
+    load_corpus first, which rejects the repeated id."""
+    lines = [{"doc_id": "d1", "text": "x"}, {"doc_id": "d1", "text": "y"},
+             {"doc_id": "d0", "text": "!!!"}]
+    with pytest.raises(ValueError, match="^document d0 tokenizes to empty$"):
+        build_index([Document(o["doc_id"], "", o["text"]) for o in lines])
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(json.dumps(o) + "\n" for o in lines))
+    with pytest.raises(ValueError, match="duplicate doc_id d1 at lines 1 and 2$"):
+        run_stage("index", load_config(None), synthetic_paths[0], str(path),
+                  str(tmp_path / "run"))
 
 
 def test_build_index_empty_corpus():
@@ -54,7 +76,8 @@ def test_load_corpus_reads_lines(tmp_path):
     path = tmp_path / "corpus.jsonl"
     path.write_text('{"doc_id": "d0", "title": "t", "text": "x"}\n\n  \n'
                     '{"doc_id": "d1", "text": "y"}\n')
-    assert load_corpus(str(path)) == [Document("d0", "t", "x"), Document("d1", "", "y")]
+    assert list(load_corpus(str(path)).items()) == [("d0", Document("d0", "t", "x")),
+                                                    ("d1", Document("d1", "", "y"))]
 
 
 @pytest.mark.parametrize("line,error", [
@@ -192,6 +215,34 @@ def dict_build_index(documents):
         for term, tf in Counter(tokens).items():
             postings.setdefault(term, []).append((doc.doc_id, tf))
     return postings, doc_lengths
+
+
+def assert_same_index(got, want):
+    for name in ("indptr", "doc_pos", "tf", "norm", "rank"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.terms == want.terms
+    assert got.doc_ids == want.doc_ids
+    assert got.avg_doc_length == want.avg_doc_length
+
+
+def test_build_index_reads_a_one_shot_iterator(synthetic_paths):
+    documents = list(load_corpus(synthetic_paths[1]).values())
+    assert_same_index(build_index(iter(documents)), build_index(documents))
+
+
+@settings(max_examples=100, deadline=None)
+@given(corpus_strategy)
+def test_one_shot_index_equals_dict_oracle(texts):
+    documents = docs(*texts)
+    index = build_index(iter(documents))
+    assert_same_index(index, build_index(documents))
+    postings, doc_lengths = dict_build_index(documents)
+    assert {term: [(index.doc_ids[p], tf) for p, tf in zip(
+                index.doc_pos[index.indptr[t]:index.indptr[t + 1]].tolist(),
+                index.tf[index.indptr[t]:index.indptr[t + 1]].tolist())]
+            for term, t in index.terms.items()} == postings
+    assert index.doc_ids == list(doc_lengths)
+    assert [index.doc_ids[i] for i in np.argsort(index.rank)] == sorted(index.doc_ids)
 
 
 def dict_retrieve(oracle, query, n, k1, b):

@@ -513,7 +513,7 @@ def test_pipeline_scores_each_text_once_per_record(tmp_path, synthetic_paths,
     assert set(profiled.values()) == {1}
     refs = {rec.id: rec.sub_answers for rec in load_dataset(synthetic_paths[0])}
     assert {key for key, _ in profiled} == set(refs.values())
-    texts = {d.doc_id: d.text for d in load_corpus(synthetic_paths[1])}
+    texts = {d.doc_id: d.text for d in load_corpus(synthetic_paths[1]).values()}
     with open(tmp_path / "pool.jsonl", encoding="utf-8") as fh:
         pools = [json.loads(line) for line in fh][1:]
     pool_texts = {(refs[p["query_id"]], texts[c["doc_id"]])
@@ -646,7 +646,7 @@ def test_every_fixture_query_has_a_relevant_document(run_dir, synthetic_paths, s
     """Every fixture query has pool documents that cover one of its
     sub-answers, and the ranked list's metrics are those of that set."""
     records = {rec.id: rec for rec in load_dataset(synthetic_paths[0])}
-    texts = {d.doc_id: d.text for d in load_corpus(synthetic_paths[1])}
+    texts = {d.doc_id: d.text for d in load_corpus(synthetic_paths[1]).values()}
     rows = {}
     for name in ("pool.jsonl", "rank.jsonl"):
         with open(os.path.join(run_dir, name), encoding="utf-8") as fh:
@@ -678,7 +678,7 @@ def test_relevant_document_outside_the_pool_counts(tmp_path, synthetic_paths, sm
     for stage in ("index", "aspects", "retrieve", "pool"):
         run_stage(stage, small_config, two, corpus, out)
     rec = load_dataset(two)[0]
-    texts = {d.doc_id: d.text for d in load_corpus(corpus)}
+    texts = {d.doc_id: d.text for d in load_corpus(corpus).values()}
 
     def covers(doc_id, sub_answers):
         return max(phi(texts[doc_id], a) for a in sub_answers) > \
